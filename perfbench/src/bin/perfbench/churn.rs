@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use crate::alloc::Reading;
 use crate::common::{
     absent_key, absent_key_fpr_bound, fpr_within_bound, key_pool, ns_per, record_phases,
-    repeated_setup, FilterMemory, Measured, Outcome, PassClock, Phase, Tally,
+    repeated_setup, FilterMemory, Measured, Outcome, PassClock, Phase, Tally, SETUP_BUDGET_SHARE,
 };
 use crate::trace::Tracer;
 
@@ -276,7 +276,7 @@ pub fn run(seed: u64, budget: Duration, tracer: &mut Tracer) -> Outcome {
 }
 
 pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -> Outcome {
-    let (inputs, setup_s) = repeated_setup(5, || setup(seed, size));
+    let (inputs, setup_s) = repeated_setup(budget / SETUP_BUDGET_SHARE, || setup(seed, size));
     let traced = tracer.on();
     let mut run = Run {
         inputs: &inputs,
@@ -303,7 +303,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
         ..
     } = run;
     let mut layer = BTreeMap::new();
-    let mut phases_add_up = true;
+    let mut phases_match_clock = true;
     if traced {
         let st = tracer.self_times();
         let per_k = |n: u64, k: u64| if k == 0 { 0.0 } else { n as f64 / k as f64 };
@@ -348,7 +348,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
         );
         memory.record(size.window as f64, &mut layer);
         layer.insert("ccf-shard.imbalance", 1.0);
-        phases_add_up = record_phases(tracer, &mut layer);
+        phases_match_clock = record_phases(tracer, &clock, &mut layer);
     }
     let mut outcome = Outcome::assemble(
         Measured {
@@ -356,7 +356,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
             clock,
             bytes_per_row: memory.heap / size.window as f64,
             layer,
-            phases_add_up,
+            phases_match_clock,
         },
         tally,
         traced,

@@ -73,6 +73,16 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// The phase's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Insert => "insert",
+            Phase::Query => "query",
+            Phase::Contains => "contains",
+            Phase::Delete => "delete",
+        }
+    }
+
     /// Name of the phase's top-level span.
     pub fn span(self) -> &'static str {
         match self {
@@ -138,11 +148,16 @@ impl Tally {
 /// little interference from other processes as the run saw. Rates divide the work
 /// of all positions by the sum of their best times; latency percentiles are taken
 /// over the query positions' best times.
+///
+/// The clock also keeps every phase's total time and unit count over all passes, for
+/// the traced run to set against its phase spans.
 #[derive(Debug, Default)]
 pub struct PassClock {
     units: [Vec<(u64, u64)>; 4],
     cursor: [usize; 4],
     passes: usize,
+    total_ns: [u64; 4],
+    total_units: [u64; 4],
 }
 
 impl PassClock {
@@ -156,6 +171,8 @@ impl PassClock {
             None => self.units[p].push((work as u64, ns)),
         }
         self.cursor[p] += 1;
+        self.total_ns[p] += ns;
+        self.total_units[p] += 1;
     }
 
     /// Close the current pass.
@@ -184,6 +201,12 @@ impl PassClock {
             .collect()
     }
 
+    /// A phase's units over all passes, and their summed time in nanoseconds.
+    pub fn totals(&self, phase: Phase) -> (u64, u64) {
+        let p = phase as usize;
+        (self.total_units[p], self.total_ns[p])
+    }
+
     /// Number of closed passes.
     pub fn passes(&self) -> usize {
         self.passes
@@ -200,20 +223,31 @@ pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[rank.min(samples.len()) - 1]
 }
 
-/// Run `setup` `reps` times, keeping the last result; also return the median
-/// duration in seconds. Earlier results are dropped before the next repetition.
-pub fn repeated_setup<T>(reps: usize, mut setup: impl FnMut() -> T) -> (T, f64) {
-    let mut secs = Vec::with_capacity(reps);
+/// Set-up repeats for this share of a run's measuring budget, and at least
+/// [`SETUP_MIN_REPS`] times; `setup_s` is the shortest repetition. On a shared
+/// machine whole stretches of a second or two run 30 % slower, so the repetitions
+/// must span several seconds for the shortest to be a quiet one.
+pub const SETUP_BUDGET_SHARE: u32 = 8;
+/// Fewest set-up repetitions per run.
+pub const SETUP_MIN_REPS: usize = 3;
+
+/// Run `setup` at least [`SETUP_MIN_REPS`] times and until `span` has passed,
+/// keeping the last result; also return the shortest repetition in seconds.
+/// Earlier results are dropped before the next repetition.
+pub fn repeated_setup<T>(span: Duration, mut setup: impl FnMut() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let mut best = f64::INFINITY;
+    let mut reps = 0;
     let mut last = None;
-    for _ in 0..reps.max(1) {
+    while reps < SETUP_MIN_REPS || start.elapsed() < span {
         drop(last.take());
         let t = Instant::now();
         let value = setup();
-        secs.push(t.elapsed().as_secs_f64());
+        best = best.min(t.elapsed().as_secs_f64());
         last = Some(value);
+        reps += 1;
     }
-    let value = last.expect("at least one setup repetition ran");
-    (value, percentile(&mut secs, 0.5))
+    (last.expect("at least one setup repetition ran"), best)
 }
 
 /// The §7.1 bound on the rate at which an absent key matches (eq. 4): the expected
@@ -343,8 +377,8 @@ pub struct Measured {
     pub bytes_per_row: f64,
     /// Per-layer values by name; names missing here read 0.
     pub layer: BTreeMap<&'static str, f64>,
-    /// Whether the traced run's phase time partition added up.
-    pub phases_add_up: bool,
+    /// Whether the traced run's phase spans agreed with the clock.
+    pub phases_match_clock: bool,
 }
 
 impl Outcome {
@@ -393,7 +427,7 @@ impl Outcome {
             notes.push("a metric is not a finite number".into());
         }
         Outcome {
-            correct: tally.only_known_failures() && finite && (!traced || m.phases_add_up),
+            correct: tally.only_known_failures() && finite && (!traced || m.phases_match_clock),
             attempted: tally.attempted.max(1),
             failed: tally.failed,
             metrics,
@@ -421,26 +455,37 @@ impl Outcome {
     }
 }
 
-/// Copy a traced run's phase breakdown into per-layer metrics; returns whether
-/// every phase's layer self times plus uncovered time equal its traced time.
+/// Copy a traced run's phase breakdown into per-layer metrics; returns whether the
+/// phase spans agree with the clock: every phase has as many spans as the clock has
+/// units, and their summed duration covers the clock's summed time, exceeding it by
+/// at most the spans' own bookkeeping (2 % plus 20 µs per span).
 pub fn record_phases(
     tracer: &crate::trace::Tracer,
+    clock: &PassClock,
     layer: &mut BTreeMap<&'static str, f64>,
 ) -> bool {
-    let mut all_add_up = true;
-    for (phase, b) in tracer.phase_breakdown() {
-        let (traced, uncovered) = match phase {
-            "insert" => ("insert.traced_ms", "insert.uncovered_ms"),
-            "query" => ("query.traced_ms", "query.uncovered_ms"),
-            "contains" => ("contains.traced_ms", "contains.uncovered_ms"),
-            "delete" => ("delete.traced_ms", "delete.uncovered_ms"),
-            _ => continue,
-        };
+    let breakdown = tracer.phase_breakdown();
+    let mut agree = true;
+    for (phase, traced, uncovered) in [
+        (Phase::Insert, "insert.traced_ms", "insert.uncovered_ms"),
+        (Phase::Query, "query.traced_ms", "query.uncovered_ms"),
+        (
+            Phase::Contains,
+            "contains.traced_ms",
+            "contains.uncovered_ms",
+        ),
+        (Phase::Delete, "delete.traced_ms", "delete.uncovered_ms"),
+    ] {
+        let b = breakdown.get(phase.name()).cloned().unwrap_or_default();
+        let (units, clock_ns) = clock.totals(phase);
+        // Span ends are truncated to whole nanoseconds, so allow 1 ns per span below.
+        agree &= b.spans == units
+            && b.traced_ns + units >= clock_ns
+            && b.traced_ns as f64 <= clock_ns as f64 * 1.02 + 20e3 * units as f64;
         layer.insert(traced, b.traced_ns as f64 / 1e6);
         layer.insert(uncovered, b.uncovered_ns as f64 / 1e6);
-        all_add_up &= b.adds_up();
     }
-    all_add_up
+    agree
 }
 
 /// Self time of span `name` per unit of work, in nanoseconds (0 with no work).
@@ -489,6 +534,30 @@ mod tests {
             let entry = format!("\"name\": \"{name}\",\n      \"unit\": \"{unit}\"");
             assert!(json.contains(&entry), "{name} [{unit}] missing from {path}");
         }
+    }
+
+    #[test]
+    fn phase_spans_must_agree_with_the_clock() {
+        let mut tracer = crate::trace::Tracer::new(true);
+        let mut clock = PassClock::default();
+        let mut layer = BTreeMap::new();
+        let span = tracer.begin(Phase::Query.span(), 0);
+        let t = Instant::now();
+        std::hint::black_box((0..1000u64).sum::<u64>());
+        clock.add(Phase::Query, 1, t.elapsed());
+        tracer.end(span);
+        assert!(record_phases(&tracer, &clock, &mut layer));
+
+        // A unit the clock timed outside any phase span.
+        let mut extra = PassClock::default();
+        extra.add(Phase::Query, 1, t.elapsed());
+        extra.add(Phase::Query, 1, Duration::from_micros(1));
+        assert!(!record_phases(&tracer, &extra, &mut layer));
+
+        // A unit the clock timed longer than the span around it.
+        let mut longer = PassClock::default();
+        longer.add(Phase::Query, 1, Duration::from_secs(1));
+        assert!(!record_phases(&tracer, &longer, &mut layer));
     }
 
     #[test]

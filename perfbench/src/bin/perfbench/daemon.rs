@@ -14,12 +14,12 @@ use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily};
 use ccf_service::wire::{self, BodyReader, BodyWriter, Opcode, Request, Response};
 use ccf_service::{Client, DaemonConfig, RunningDaemon, Tenant, TenantSpec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::alloc::Reading;
 use crate::common::{
-    absent_key, absent_key_fpr_bound, fpr_within_bound, key_pool, ns_per, record_phases,
-    repeated_setup, FilterMemory, Measured, Outcome, PassClock, Phase, Tally,
+    absent_key, absent_key_fpr_bound, fpr_within_bound, ns_per, record_phases, repeated_setup,
+    FilterMemory, Measured, Outcome, PassClock, Phase, Tally, SETUP_BUDGET_SHARE,
 };
 use crate::trace::Tracer;
 
@@ -102,8 +102,46 @@ struct Inputs {
     server: Server,
 }
 
-/// Inputs, a started daemon with its connection and twin, and the window filled
-/// through both: everything before the first timed phase.
+/// Rows `from..from + batch` of the cyclic stream.
+fn stream_rows(
+    keys: &[u64],
+    attrs: &[[u64; 3]],
+    from: usize,
+    batch: usize,
+) -> Vec<(u64, Vec<u64>)> {
+    let n = keys.len();
+    (from..from + batch)
+        .map(|p| (keys[p % n], attrs[p % n].to_vec()))
+        .collect()
+}
+
+/// The twin, filled with the window's rows before the daemon starts: no daemon
+/// thread allocates or frees while the allocator's reading brackets the fill, and
+/// every answer vector is dropped before the reading ends, so the retained heap is
+/// the twin's alone. Returns the twin, that heap, and the twin's answer code for
+/// every row of the fill.
+fn filled_twin(
+    spec: &TenantSpec,
+    keys: &[u64],
+    attrs: &[[u64; 3]],
+    size: Size,
+) -> Result<(Tenant, i64, Vec<u8>), String> {
+    let mut codes = Vec::with_capacity(size.window + size.batch);
+    let mem = Reading::now();
+    let twin = Tenant::from_spec(spec).map_err(|e| format!("the twin did not build: {e}"))?;
+    while codes.len() < size.window {
+        let rows = stream_rows(keys, attrs, codes.len(), size.batch);
+        codes.extend(
+            twin.insert_batch(&rows)
+                .iter()
+                .map(wire::insert_result_code),
+        );
+    }
+    Ok((twin, mem.retained_since(), codes))
+}
+
+/// Inputs, the filled twin, a started daemon with its connection, and the window
+/// filled through the wire: everything before the first timed phase.
 fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDAE7);
     let params = CcfParams {
@@ -123,7 +161,9 @@ fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
     };
     // The stream cycles through twice the window, so a row is gone for a whole
     // window before it returns.
-    let keys = key_pool(0, 2 * size.window, params.seed, FP_BITS, &mut rng);
+    // Dispersed keys: one live row each. The top bit stays clear, so no key is
+    // an `absent_key`.
+    let keys: Vec<u64> = (0..2 * size.window).map(|_| rng.next_u64() >> 1).collect();
     let attrs = keys
         .iter()
         .map(|_| {
@@ -133,7 +173,8 @@ fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
                 rng.gen_range(0..256),
             ]
         })
-        .collect();
+        .collect::<Vec<_>>();
+    let (twin, twin_heap, fill_codes) = filled_twin(&spec, &keys, &attrs, size)?;
     let server = Server::start(&spec)?;
     let mut inputs = Inputs {
         size,
@@ -142,8 +183,8 @@ fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
         attrs,
         server,
     };
-    let mut state = Loop::new(&inputs, seed);
-    state.fill(&mut inputs);
+    let mut state = Loop::new(&inputs, seed, twin, twin_heap);
+    state.fill(&mut inputs, &fill_codes);
     Ok((inputs, state))
 }
 
@@ -177,7 +218,7 @@ struct Counts {
     transport_ns: i64,
     absent_probes: usize,
     false_positives: usize,
-    /// Live heap held by the twin, tracked across its mutating calls.
+    /// Live heap held by the twin once the window is full.
     twin_heap: i64,
 }
 
@@ -186,7 +227,7 @@ pub fn run(seed: u64, budget: Duration, tracer: &mut Tracer) -> Outcome {
 }
 
 pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -> Outcome {
-    let (ready, setup_s) = repeated_setup(5, || setup(seed, size));
+    let (ready, setup_s) = repeated_setup(budget / SETUP_BUDGET_SHARE, || setup(seed, size));
     let (mut inputs, mut loop_state) = match ready {
         Ok(ready) => ready,
         Err(e) => {
@@ -239,7 +280,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
         doublings: f64::from(stats.total_doublings()),
     };
     let mut layer = BTreeMap::new();
-    let mut phases_add_up = true;
+    let mut phases_match_clock = true;
     if tracer.on() {
         let st = tracer.self_times();
         let per = |n: f64, d: u64| if d == 0 { 0.0 } else { n / d as f64 };
@@ -293,7 +334,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
             "ccf-service.transport_us_per_batch",
             per(counts.transport_ns as f64 / 1e3, counts.query_batches),
         );
-        phases_add_up = record_phases(tracer, &mut layer);
+        phases_match_clock = record_phases(tracer, &clock, &mut layer);
     }
     let mut outcome = Outcome::assemble(
         Measured {
@@ -301,7 +342,7 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
             clock,
             bytes_per_row: memory.heap / rows,
             layer,
-            phases_add_up,
+            phases_match_clock,
         },
         tally,
         tracer.on(),
@@ -325,11 +366,9 @@ struct Loop {
 }
 
 impl Loop {
-    fn new(inputs: &Inputs, seed: u64) -> Self {
-        let mem = Reading::now();
-        let twin = Tenant::from_spec(&inputs.spec).expect("the spec built the daemon's tenant");
+    fn new(inputs: &Inputs, seed: u64, twin: Tenant, twin_heap: i64) -> Self {
         let counts = Counts {
-            twin_heap: mem.retained_since(),
+            twin_heap,
             ..Counts::default()
         };
         Loop {
@@ -344,19 +383,39 @@ impl Loop {
         }
     }
 
-    /// Insert batches, untimed and untraced, until the window is full.
-    fn fill(&mut self, inputs: &mut Inputs) {
-        let mut untraced = Tracer::new(false);
-        while self.head - self.tail < inputs.size.window {
-            self.insert(inputs, &mut untraced, &mut PassClock::default());
+    /// Send the rows the twin was filled with through the wire, untimed and
+    /// untraced, checking each answer against the twin's code for that row.
+    fn fill(&mut self, inputs: &mut Inputs, twin_codes: &[u8]) {
+        let stored = wire::insert_result_code(&Ok(ccf_core::InsertOutcome::Inserted));
+        let not_stored = twin_codes.iter().filter(|&&c| c != stored).count();
+        self.tally.batch(0, not_stored as u64, || {
+            format!("{not_stored} inserts of the window fill were not stored")
+        });
+        for twin in twin_codes.chunks(inputs.size.batch) {
+            self.batch_id += 1;
+            let rows = self.rows(inputs, self.head);
+            let client = inputs.server.client();
+            let (codes, _) = self.round_trip(Phase::Insert, &mut Tracer::new(false), || {
+                client.insert_rows(TENANT, &rows)
+            });
+            if let Some(codes) = codes {
+                compare(&mut self.tally, &codes, twin, "insert");
+            }
+            self.admit(inputs, rows.len());
         }
     }
 
     fn rows(&self, inputs: &Inputs, from: usize) -> Vec<(u64, Vec<u64>)> {
+        stream_rows(&inputs.keys, &inputs.attrs, from, inputs.size.batch)
+    }
+
+    /// Count `rows` rows from the head of the stream as live.
+    fn admit(&mut self, inputs: &Inputs, rows: usize) {
         let n = inputs.keys.len();
-        (from..from + inputs.size.batch)
-            .map(|p| (inputs.keys[p % n], inputs.attrs[p % n].to_vec()))
-            .collect()
+        for p in self.head..self.head + rows {
+            self.live_rows[p % n] += 1;
+        }
+        self.head += rows;
     }
 
     /// Time one round trip as a phase with a `ccf-service.client` span inside.
@@ -391,14 +450,9 @@ impl Loop {
             self.round_trip(Phase::Insert, tracer, || client.insert_rows(TENANT, &rows));
         clock.add(Phase::Insert, rows.len(), elapsed);
         let mem = Reading::now();
-        let twin: Vec<u8> = self
-            .twin
-            .insert_batch(&rows)
-            .iter()
-            .map(wire::insert_result_code)
-            .collect();
-        self.counts.twin_heap += mem.retained_since();
+        let results = self.twin.insert_batch(&rows);
         self.counts.insert_allocs += mem.events_since();
+        let twin: Vec<u8> = results.iter().map(wire::insert_result_code).collect();
         self.counts.rows_inserted += rows.len() as u64;
         let stored = wire::insert_result_code(&Ok(ccf_core::InsertOutcome::Inserted));
         let not_stored = twin.iter().filter(|&&c| c != stored).count();
@@ -419,11 +473,7 @@ impl Loop {
             self.counts.hashed_rows += rows.len() as u64;
             tracer.end(span);
         }
-        let n = inputs.keys.len();
-        for p in self.head..self.head + rows.len() {
-            self.live_rows[p % n] += 1;
-        }
-        self.head += rows.len();
+        self.admit(inputs, rows.len());
     }
 
     fn iterate(&mut self, inputs: &mut Inputs, tracer: &mut Tracer, clock: &mut PassClock) {
@@ -518,14 +568,9 @@ impl Loop {
             self.round_trip(Phase::Delete, tracer, || client.delete_rows(TENANT, &rows));
         clock.add(Phase::Delete, rows.len(), elapsed);
         let mem = Reading::now();
-        let twin: Vec<u8> = self
-            .twin
-            .delete_row_batch(&rows)
-            .iter()
-            .map(wire::delete_result_code)
-            .collect();
-        self.counts.twin_heap += mem.retained_since();
+        let results = self.twin.delete_row_batch(&rows);
         self.counts.delete_allocs += mem.events_since();
+        let twin: Vec<u8> = results.iter().map(wire::delete_result_code).collect();
         self.counts.rows_deleted += rows.len() as u64;
         let removed = wire::delete_result_code(&Ok(true));
         let missed = twin.iter().filter(|&&c| c != removed).count();
