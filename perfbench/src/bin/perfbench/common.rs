@@ -147,7 +147,8 @@ impl Tally {
 /// the same size), so a position's best time over the passes is that unit with as
 /// little interference from other processes as the run saw. Rates divide the work
 /// of all positions by the sum of their best times; latency percentiles are taken
-/// over the query positions' best times.
+/// over the query positions' best times, or, with a latency group of `k` passes,
+/// over each position's best time in each complete group of `k` passes.
 ///
 /// The clock also keeps every phase's total time and unit count over all passes, for
 /// the traced run to set against its phase spans.
@@ -158,9 +159,24 @@ pub struct PassClock {
     passes: usize,
     total_ns: [u64; 4],
     total_units: [u64; 4],
+    /// Passes per latency group; 0 for one group of all passes.
+    group: usize,
+    /// Query positions' best times in the current latency group.
+    open: Vec<u64>,
+    /// Query positions' best times in every complete latency group.
+    closed: Vec<u64>,
 }
 
 impl PassClock {
+    /// A clock whose latency samples are the query positions' best times in each
+    /// complete group of `passes` passes.
+    pub fn with_latency_group(passes: usize) -> Self {
+        PassClock {
+            group: passes,
+            ..PassClock::default()
+        }
+    }
+
     /// Record the next unit of a phase in the current pass: `work` items in
     /// `elapsed`.
     pub fn add(&mut self, phase: Phase, work: usize, elapsed: Duration) {
@@ -169,6 +185,12 @@ impl PassClock {
         match self.units[p].get_mut(self.cursor[p]) {
             Some(unit) => unit.1 = unit.1.min(ns),
             None => self.units[p].push((work as u64, ns)),
+        }
+        if phase == Phase::Query {
+            match self.open.get_mut(self.cursor[p]) {
+                Some(best) => *best = (*best).min(ns),
+                None => self.open.push(ns),
+            }
         }
         self.cursor[p] += 1;
         self.total_ns[p] += ns;
@@ -179,6 +201,9 @@ impl PassClock {
     pub fn end_pass(&mut self) {
         self.cursor = [0; 4];
         self.passes += 1;
+        if self.group > 0 && self.passes.is_multiple_of(self.group) {
+            self.closed.append(&mut self.open);
+        }
     }
 
     /// A phase's rate over its units' best times, in millions of items per second.
@@ -193,12 +218,15 @@ impl PassClock {
         }
     }
 
-    /// Best time of every unit of a phase, in microseconds.
-    pub fn best_us(&self, phase: Phase) -> Vec<f64> {
-        self.units[phase as usize]
-            .iter()
-            .map(|u| u.1 as f64 / 1e3)
-            .collect()
+    /// The query latency samples in microseconds: the positions' best times in each
+    /// complete latency group, or over all passes so far if no group is complete.
+    pub fn latency_us(&self) -> Vec<f64> {
+        let ns = if self.closed.is_empty() {
+            &self.open
+        } else {
+            &self.closed
+        };
+        ns.iter().map(|&t| t as f64 / 1e3).collect()
     }
 
     /// A phase's units over all passes, and their summed time in nanoseconds.
@@ -396,7 +424,7 @@ impl Outcome {
                 .map(|p| format!("{p:?} {:.4}", m.clock.best_mrate(p)));
             notes.push(format!("traced rates (M/s): {}", rates.join(", ")));
         } else {
-            let mut query_us = m.clock.best_us(Phase::Query);
+            let mut query_us = m.clock.latency_us();
             let samples = query_us.len();
             if samples < 1000 {
                 notes.push(format!(
@@ -558,6 +586,28 @@ mod tests {
         let mut longer = PassClock::default();
         longer.add(Phase::Query, 1, Duration::from_secs(1));
         assert!(!record_phases(&tracer, &longer, &mut layer));
+    }
+
+    #[test]
+    fn latency_samples_are_best_times_within_groups() {
+        let times = [[5, 1], [3, 4], [1, 1]];
+        let mut grouped = PassClock::with_latency_group(2);
+        let mut whole = PassClock::default();
+        for pass in times {
+            for t in pass {
+                grouped.add(Phase::Query, 1, Duration::from_micros(t));
+                whole.add(Phase::Query, 1, Duration::from_micros(t));
+            }
+            grouped.end_pass();
+            whole.end_pass();
+        }
+        // The third pass opens a second group that never completes.
+        assert_eq!(grouped.latency_us(), [3.0, 1.0]);
+        assert_eq!(whole.latency_us(), [1.0, 1.0]);
+        assert_eq!(
+            grouped.best_mrate(Phase::Query),
+            whole.best_mrate(Phase::Query)
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! `daemon_loopback`: an in-process `ccf-service` daemon on 127.0.0.1.
 //!
 //! The daemon hosts one chained tenant with 2 shards. One client runs a closed loop
-//! over one connection: insert a batch of new rows, query and contains batches over
-//! live and absent keys, delete the oldest batch. Keys are dispersed (one live row
-//! each). Every wire answer is compared bit for bit with an in-process twin tenant
+//! over one connection: insert a batch of new rows, several query batches and one
+//! contains batch over live and absent keys, delete the oldest batch. Keys are
+//! dispersed (one live row each). The client, the daemon and its fan-out workers
+//! share one CPU (see `threads`). Every wire answer is compared bit for bit with an in-process twin tenant
 //! fed the same batches, and checked against the multiset of live rows.
 
 use std::collections::BTreeMap;
@@ -32,18 +33,38 @@ pub struct Size {
     pub batch: usize,
     /// Absent keys in each query and contains batch.
     pub absent_keys: usize,
+    /// Query batches per iteration, each over keys of its own.
+    pub queries: usize,
     /// Closed-loop iterations per pass.
     pub iterations: usize,
 }
 
 impl Size {
+    /// 1000 query units per pass, so that ten lie beyond p99. Query units are the
+    /// cheapest in a pass, so eight per iteration fit more passes into a run than
+    /// one did: 31–34 in 30 s, where the positions' best times have settled.
     pub const DEFAULT: Size = Size {
         window: 1 << 17,
         batch: 512,
         absent_keys: 128,
-        iterations: 1000,
+        queries: 8,
+        iterations: 125,
     };
 }
+
+/// Rows per insert batch of the untimed window fill. Few large round trips keep
+/// `setup_s` from resting on hundreds of thread wake-ups.
+const FILL_BATCH: usize = 8192;
+
+/// Passes per latency group: each latency sample is a query position's best of
+/// three passes. Every query unit here is the same size, so a position's best over
+/// a whole run only tells how often the run caught the machine in its fast mode:
+/// stretches of tens of milliseconds in which round trips take about 200 µs against
+/// the usual 300–350 µs. The p99 of such bests spread by 13–19 % of its median
+/// between runs and moved 25 % between two sets of ten runs. Over bests of three,
+/// which fall in the usual mode, p99 spread by 5–7 % and p50 by 8–10 % in two sets
+/// of five runs.
+const LATENCY_GROUP: usize = 3;
 
 const TENANT: u32 = 1;
 const SHARDS: usize = 2;
@@ -99,6 +120,8 @@ struct Inputs {
     keys: Vec<u64>,
     /// Attribute vector of each key's one row.
     attrs: Vec<[u64; 3]>,
+    /// Stream positions of each category (the first attribute), ascending.
+    by_category: Vec<Vec<u32>>,
     server: Server,
 }
 
@@ -115,22 +138,36 @@ fn stream_rows(
         .collect()
 }
 
+/// Set how many worker threads the twin's batch calls fan out over.
+fn set_twin_threads(twin: &mut Tenant, threads: usize) {
+    if let Tenant::Sharded(s) = twin {
+        s.set_threads(threads);
+    }
+}
+
 /// The twin, filled with the window's rows before the daemon starts: no daemon
 /// thread allocates or frees while the allocator's reading brackets the fill, and
 /// every answer vector is dropped before the reading ends, so the retained heap is
 /// the twin's alone. Returns the twin, that heap, and the twin's answer code for
 /// every row of the fill.
+///
+/// The twin runs its batches on the calling thread: a sharded batch's answers are
+/// the same for any number of worker threads, and untimed checks that start no
+/// threads leave more of a run to the timed round trips. Traced runs give the twin
+/// the daemon's threads again, so that its fan-out can be timed.
 fn filled_twin(
     spec: &TenantSpec,
     keys: &[u64],
     attrs: &[[u64; 3]],
     size: Size,
 ) -> Result<(Tenant, i64, Vec<u8>), String> {
-    let mut codes = Vec::with_capacity(size.window + size.batch);
+    let mut codes = Vec::with_capacity(size.window);
     let mem = Reading::now();
-    let twin = Tenant::from_spec(spec).map_err(|e| format!("the twin did not build: {e}"))?;
+    let mut twin = Tenant::from_spec(spec).map_err(|e| format!("the twin did not build: {e}"))?;
+    set_twin_threads(&mut twin, 1);
     while codes.len() < size.window {
-        let rows = stream_rows(keys, attrs, codes.len(), size.batch);
+        let batch = FILL_BATCH.min(size.window - codes.len());
+        let rows = stream_rows(keys, attrs, codes.len(), batch);
         codes.extend(
             twin.insert_batch(&rows)
                 .iter()
@@ -174,6 +211,10 @@ fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
             ]
         })
         .collect::<Vec<_>>();
+    let mut by_category = vec![Vec::new(); CATEGORIES as usize];
+    for (p, a) in attrs.iter().enumerate() {
+        by_category[a[0] as usize].push(p as u32);
+    }
     let (twin, twin_heap, fill_codes) = filled_twin(&spec, &keys, &attrs, size)?;
     let server = Server::start(&spec)?;
     let mut inputs = Inputs {
@@ -181,6 +222,7 @@ fn setup(seed: u64, size: Size) -> Result<(Inputs, Loop), String> {
         spec,
         keys,
         attrs,
+        by_category,
         server,
     };
     let mut state = Loop::new(&inputs, seed, twin, twin_heap);
@@ -227,6 +269,10 @@ pub fn run(seed: u64, budget: Duration, tracer: &mut Tracer) -> Outcome {
 }
 
 pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -> Outcome {
+    // Before the first daemon starts, so that its threads, the fan-out workers they
+    // spawn and the client all share one CPU and one malloc arena.
+    let cpu = crate::threads::pin_to_one_cpu();
+    let one_arena = crate::threads::one_malloc_arena();
     let (ready, setup_s) = repeated_setup(budget / SETUP_BUDGET_SHARE, || setup(seed, size));
     let (mut inputs, mut loop_state) = match ready {
         Ok(ready) => ready,
@@ -236,8 +282,11 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
             return Outcome::assemble(Measured::default(), tally, tracer.on());
         }
     };
+    if tracer.on() {
+        set_twin_threads(&mut loop_state.twin, SHARDS);
+    }
     let heap_after_fill = loop_state.counts.twin_heap;
-    let mut clock = PassClock::default();
+    let mut clock = PassClock::with_latency_group(LATENCY_GROUP);
     let start = Instant::now();
     // One daemon and one connection for the whole run: every pass runs the same
     // number of iterations over the full window. A daemon per pass would make runs
@@ -348,6 +397,15 @@ pub fn run_sized(seed: u64, budget: Duration, tracer: &mut Tracer, size: Size) -
         tracer.on(),
     );
     outcome.notes.push(memory.note(rows));
+    outcome.notes.push(match cpu {
+        Some(cpu) => format!("client and daemon ran on CPU {cpu}"),
+        None => "could not keep the client and daemon on one CPU".into(),
+    });
+    if !one_arena {
+        outcome
+            .notes
+            .push("could not limit malloc to one arena".into());
+    }
     outcome
 }
 
@@ -391,9 +449,9 @@ impl Loop {
         self.tally.batch(0, not_stored as u64, || {
             format!("{not_stored} inserts of the window fill were not stored")
         });
-        for twin in twin_codes.chunks(inputs.size.batch) {
+        for twin in twin_codes.chunks(FILL_BATCH) {
             self.batch_id += 1;
-            let rows = self.rows(inputs, self.head);
+            let rows = stream_rows(&inputs.keys, &inputs.attrs, self.head, twin.len());
             let client = inputs.server.client();
             let (codes, _) = self.round_trip(Phase::Insert, &mut Tracer::new(false), || {
                 client.insert_rows(TENANT, &rows)
@@ -482,20 +540,61 @@ impl Loop {
         self.delete(inputs, tracer, clock);
     }
 
-    /// Query and contains batches over live rows of one category plus absent keys.
+    /// Query batches, then a contains batch over the last query batch's keys.
     fn probe(&mut self, inputs: &mut Inputs, tracer: &mut Tracer, clock: &mut PassClock) {
+        let mut probed = (Vec::new(), Vec::new());
+        for _ in 0..inputs.size.queries {
+            probed = self.query(inputs, tracer, clock);
+        }
+        let (keys, expect) = probed;
+        let client = inputs.server.client();
+        let (wire_hits, elapsed) =
+            self.round_trip(Phase::Contains, tracer, || client.contains(TENANT, &keys));
+        clock.add(Phase::Contains, keys.len(), elapsed);
+        let mem = Reading::now();
+        let twin = self.twin.contains_batch(&keys);
+        self.counts.probe_allocs += mem.events_since();
+        self.counts.probed_keys += keys.len() as u64;
+        self.check_live(&twin, &expect, "contains", |_| true);
+        if let Some(hits) = &wire_hits {
+            compare(&mut self.tally, hits, &twin, "contains");
+        }
+    }
+
+    /// One query batch over live rows of one category plus absent keys; returns the
+    /// keys and, for each, its stream position or `None` for an absent key.
+    fn query(
+        &mut self,
+        inputs: &mut Inputs,
+        tracer: &mut Tracer,
+        clock: &mut PassClock,
+    ) -> (Vec<u64>, Vec<Option<usize>>) {
         self.batch_id += 1;
         let n = inputs.keys.len();
         let cat = self.rng.gen_range(0..CATEGORIES);
         let live_keys = inputs.size.batch - inputs.size.absent_keys;
         let mut keys = Vec::with_capacity(inputs.size.batch);
         let mut expect = Vec::with_capacity(inputs.size.batch);
-        while keys.len() < live_keys {
-            let p = self.rng.gen_range(self.tail..self.head) % n;
-            if inputs.attrs[p][0] == cat {
-                keys.push(inputs.keys[p]);
-                expect.push(Some(p));
-            }
+        // Live rows of the category, uniformly: the positions of the cyclic window
+        // [tail, head) are one or two ranges of the category's sorted positions.
+        let of_cat = &inputs.by_category[cat as usize];
+        let (a, b) = (self.tail % n, self.head % n);
+        let from = of_cat.partition_point(|&p| (p as usize) < a);
+        let to = of_cat.partition_point(|&p| (p as usize) < b);
+        let live = if a < b {
+            to - from
+        } else {
+            of_cat.len() - from + to
+        };
+        for _ in 0..if live > 0 { live_keys } else { 0 } {
+            let i = from + self.rng.gen_range(0..live);
+            let p = of_cat[if i < of_cat.len() {
+                i
+            } else {
+                i - of_cat.len()
+            }] as usize;
+            keys.push(inputs.keys[p]);
+            expect.push(Some(p));
         }
         for _ in 0..inputs.size.absent_keys {
             keys.push(absent_key(&mut self.rng));
@@ -522,19 +621,7 @@ impl Loop {
         if tracer.on() {
             self.layers_in_isolation(&keys, &pred, &twin, rtt, twin_time, tracer);
         }
-
-        let client = inputs.server.client();
-        let (wire_hits, elapsed) =
-            self.round_trip(Phase::Contains, tracer, || client.contains(TENANT, &keys));
-        clock.add(Phase::Contains, keys.len(), elapsed);
-        let mem = Reading::now();
-        let twin = self.twin.contains_batch(&keys);
-        self.counts.probe_allocs += mem.events_since();
-        self.counts.probed_keys += keys.len() as u64;
-        self.check_live(&twin, &expect, "contains", |_| true);
-        if let Some(hits) = &wire_hits {
-            compare(&mut self.tally, hits, &twin, "contains");
-        }
+        (keys, expect)
     }
 
     /// No false negative for a live row; false positives on absent keys counted.
@@ -670,6 +757,7 @@ mod tests {
         window: 4096,
         batch: 256,
         absent_keys: 64,
+        queries: 2,
         iterations: 20,
     };
 

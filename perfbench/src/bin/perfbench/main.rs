@@ -20,6 +20,7 @@ mod churn;
 mod common;
 mod daemon;
 mod joblight;
+mod threads;
 mod trace;
 
 use std::process::ExitCode;
