@@ -252,3 +252,97 @@ fn sharded_stream_is_bit_identical_to_the_word_sized_layout() {
         "sharded stream digest {digest:#X} diverged from the word-sized layout"
     );
 }
+
+/// FNV-1a 64 over a byte string (the snapshot image digest).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF29CE484222325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001B3)
+    })
+}
+
+/// Second-phase rows: fresh keys plus every 5th first-phase row again, so inserts land
+/// in buckets that deletes and the doubling have reordered.
+fn second_phase_rows() -> Vec<(u64, [u64; 2])> {
+    let fresh = (0..900u64).map(|i| {
+        (
+            (i / 3 + 5000).wrapping_mul(0xD6E8FEB86659FD93) >> 11,
+            [3000 + i % 5 + 10 * (i % 3), 4000 + i % 11],
+        )
+    });
+    fresh.chain(rows().into_iter().step_by(5)).collect()
+}
+
+/// Insert, delete, grow, then insert again — the stream where a bucket's slot order
+/// becomes visible, because later inserts and kicks pick slots by index. Returns the
+/// answer/occupancy digest and the FNV-1a digest of the `AnyCcf` snapshot image (the
+/// daemon's on-disk format), which records every slot in order.
+fn slot_order_digests(kind: VariantKind) -> (u64, u64) {
+    let params = CcfParams {
+        // Pinned: the storage tag is part of the snapshot image.
+        storage: StorageKind::Packed,
+        ..variant_params()
+    };
+    let pred = Predicate::any(2).and_eq(0, 1013);
+    let mut f = AnyCcf::new(kind, params);
+    let mut digest = 0xCBF29CE484222325u64;
+    for (k, attrs) in rows().iter().take(1500) {
+        fold_insert(&mut digest, &f.insert_row(*k, attrs));
+    }
+    for (k, attrs) in rows().iter().take(1500).step_by(4) {
+        fold_delete(&mut digest, &f.delete_row(*k, attrs));
+    }
+    for (k, _) in rows().iter().take(1500).skip(1).step_by(13) {
+        fold_delete(&mut digest, &f.delete_key(*k));
+    }
+    match &mut f {
+        AnyCcf::Plain(p) => p.grow(),
+        AnyCcf::Chained(c) => c.grow(),
+        AnyCcf::Mixed(m) => m.grow(),
+        AnyCcf::Bloom(_) => {}
+    }
+    for (k, attrs) in second_phase_rows() {
+        fold_insert(&mut digest, &f.insert_row(k, &attrs));
+    }
+    let probes = probes();
+    for q in f.query_batch(&probes, &pred) {
+        fold(&mut digest, q);
+    }
+    for c in f.contains_key_batch(&probes) {
+        fold(&mut digest, c);
+    }
+    let occ = f.occupancy();
+    fold_u64(&mut digest, f.occupied_entries() as u64);
+    fold_u64(&mut digest, occ.full_buckets as u64);
+    fold_u64(&mut digest, occ.empty_buckets as u64);
+    fold_u64(&mut digest, u64::from(f.growth_stats().growth_bits));
+    (digest, fnv1a(&f.to_snapshot_bytes()))
+}
+
+/// (answers and occupancy, snapshot image) digests, captured on the per-row
+/// `Vec<Vec<Entry>>` layout that preceded the flat entry table.
+const GOLDEN_SLOT_ORDER_DIGESTS: [(VariantKind, u64, u64); 4] = [
+    (VariantKind::Plain, 0xFC7F2E14953E1EC8, 0x911A51E5CE2007B3),
+    (VariantKind::Chained, 0xAC8C5F80D20F4C41, 0x2A174E116C566818),
+    (VariantKind::Bloom, 0x406ED91A837F90B2, 0x852CB9B7BD5A151E),
+    (VariantKind::Mixed, 0x26297F2AC1813046, 0x3F743D3C90947BF0),
+];
+
+#[test]
+fn slot_order_and_snapshot_images_survive_delete_grow_reinsert() {
+    let mismatches: Vec<String> = GOLDEN_SLOT_ORDER_DIGESTS
+        .iter()
+        .filter_map(|&(kind, answers, image)| {
+            let got = slot_order_digests(kind);
+            (got != (answers, image)).then(|| {
+                format!(
+                    "{kind:?}: ({:#X}, {:#X}) != ({answers:#X}, {image:#X})",
+                    got.0, got.1
+                )
+            })
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "slot-order digests diverged: {mismatches:?}"
+    );
+}
