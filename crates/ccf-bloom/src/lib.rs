@@ -26,4 +26,4 @@ pub mod tiny;
 pub use bitvec::BitVec;
 pub use bloom::BloomFilter;
 pub use params::{bloom_fpr, optimal_bits_per_item, optimal_num_hashes};
-pub use tiny::TinyBloom;
+pub use tiny::{SketchHashers, TinyBloom};

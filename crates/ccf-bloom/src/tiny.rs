@@ -16,11 +16,79 @@ use ccf_hash::{HashFamily, SaltedHasher};
 use crate::bitvec::BitVec;
 use crate::params::bloom_fpr;
 
+/// The hash functions of a family of tiny Bloom filters over (attribute column,
+/// value) pairs. Every sketch of one CCF uses the same functions, so a filter holds
+/// them once and keeps each sketch's bits in a slice of 16-bit words (bit `i` in
+/// word `i / 16`, bit `i % 16`, the bit order [`BitVec::to_bytes`] writes); a
+/// [`TinyBloom`] pairs its own copy with a [`BitVec`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SketchHashers {
+    hashers: Vec<SaltedHasher>,
+}
+
+impl SketchHashers {
+    /// `num_hashes` hash functions drawn from `family`.
+    ///
+    /// # Panics
+    /// Panics if `num_hashes == 0`.
+    pub fn new(num_hashes: usize, family: &HashFamily) -> Self {
+        assert!(
+            num_hashes > 0,
+            "tiny Bloom filter needs at least one hash function"
+        );
+        let hashers = (0..num_hashes as u64)
+            .map(|i| family.hasher(ccf_hash::salted::purpose::BLOOM_BASE + i))
+            .collect();
+        Self { hashers }
+    }
+
+    /// Number of hash functions.
+    pub fn len(&self) -> usize {
+        self.hashers.len()
+    }
+
+    /// Always false: a family has at least one hash function.
+    pub fn is_empty(&self) -> bool {
+        self.hashers.is_empty()
+    }
+
+    /// The bit positions of (column, value) in a filter of `num_bits` bits.
+    fn positions(
+        &self,
+        column: usize,
+        value: u64,
+        num_bits: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let e = encode(column, value);
+        self.hashers.iter().map(move |h| h.bucket_of(e, num_bits))
+    }
+
+    /// Insert (column, value) into the `num_bits`-bit sketch held in `words`.
+    pub fn insert_pair(&self, words: &mut [u16], num_bits: usize, column: usize, value: u64) {
+        for i in self.positions(column, value, num_bits) {
+            words[i / 16] |= 1 << (i % 16);
+        }
+    }
+
+    /// Whether (column, value) might be in the `num_bits`-bit sketch held in `words`.
+    pub fn contains_pair(&self, words: &[u16], num_bits: usize, column: usize, value: u64) -> bool {
+        self.positions(column, value, num_bits)
+            .all(|i| (words[i / 16] >> (i % 16)) & 1 == 1)
+    }
+}
+
+/// Encode a (column, value) pair as a single u64 for hashing. Column lives in the high
+/// bits so that small values in different columns stay distinct.
+#[inline]
+fn encode(column: usize, value: u64) -> u64 {
+    ((column as u64) << 48) ^ value.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15
+}
+
 /// A tiny Bloom filter over (attribute column, value) pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TinyBloom {
     bits: BitVec,
-    hashers: Vec<SaltedHasher>,
+    hashers: SketchHashers,
     pairs_inserted: usize,
 }
 
@@ -32,16 +100,9 @@ impl TinyBloom {
     /// Panics if `num_bits == 0` or `num_hashes == 0`.
     pub fn new(num_bits: usize, num_hashes: usize, family: &HashFamily) -> Self {
         assert!(num_bits > 0, "tiny Bloom filter needs at least one bit");
-        assert!(
-            num_hashes > 0,
-            "tiny Bloom filter needs at least one hash function"
-        );
-        let hashers = (0..num_hashes as u64)
-            .map(|i| family.hasher(ccf_hash::salted::purpose::BLOOM_BASE + i))
-            .collect();
         Self {
             bits: BitVec::new(num_bits),
-            hashers,
+            hashers: SketchHashers::new(num_hashes, family),
             pairs_inserted: 0,
         }
     }
@@ -64,9 +125,7 @@ impl TinyBloom {
     /// Insert the pair (attribute column, value), per Algorithm 3's
     /// "Insert (j, α_j) into B".
     pub fn insert_pair(&mut self, column: usize, value: u64) {
-        let m = self.bits.len();
-        for h in &self.hashers {
-            let i = h.bucket_of(Self::encode(column, value), m);
+        for i in self.hashers.positions(column, value, self.bits.len()) {
             self.bits.set(i);
         }
         self.pairs_inserted += 1;
@@ -81,11 +140,9 @@ impl TinyBloom {
 
     /// Query whether the pair (column, value) might have been inserted.
     pub fn contains_pair(&self, column: usize, value: u64) -> bool {
-        let m = self.bits.len();
-        let e = Self::encode(column, value);
         self.hashers
-            .iter()
-            .all(|h| self.bits.get(h.bucket_of(e, m)))
+            .positions(column, value, self.bits.len())
+            .all(|i| self.bits.get(i))
     }
 
     /// Merge another tiny Bloom filter (same size and hash count) into this one.
@@ -121,7 +178,7 @@ impl TinyBloom {
 
     /// Heap bytes owned by this sketch: the bit array plus the salted-hasher list.
     pub fn heap_bytes(&self) -> usize {
-        self.bits.heap_bytes() + std::mem::size_of_val(self.hashers.as_slice())
+        self.bits.heap_bytes() + std::mem::size_of_val(self.hashers.hashers.as_slice())
     }
 
     /// Serialize the raw bits (for packing across CCF entries by Bloom conversion).
@@ -137,25 +194,11 @@ impl TinyBloom {
         family: &HashFamily,
         pairs_inserted: usize,
     ) -> Self {
-        assert!(
-            num_hashes > 0,
-            "tiny Bloom filter needs at least one hash function"
-        );
-        let hashers = (0..num_hashes as u64)
-            .map(|i| family.hasher(ccf_hash::salted::purpose::BLOOM_BASE + i))
-            .collect();
         Self {
             bits,
-            hashers,
+            hashers: SketchHashers::new(num_hashes, family),
             pairs_inserted,
         }
-    }
-
-    /// Encode a (column, value) pair as a single u64 for hashing. Column lives in the
-    /// high bits so that small values in different columns stay distinct.
-    #[inline]
-    fn encode(column: usize, value: u64) -> u64 {
-        ((column as u64) << 48) ^ value.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15
     }
 }
 

@@ -12,41 +12,29 @@
 //! sketch cannot match the predicate are erased and the surviving key fingerprints are
 //! returned as a standard [`CuckooFilter`].
 
-use ccf_bloom::TinyBloom;
-use ccf_cuckoo::geometry::{prefetch_index, probe_chunked};
+use ccf_cuckoo::geometry::probe_chunked;
 use ccf_cuckoo::CuckooFilter;
 use ccf_cuckoo::{GrowthStats, OccupancyStats};
-use ccf_hash::{Fingerprinter, HashFamily, SaltedHasher};
+use ccf_hash::{HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::attr::match_raw_bloom;
+use crate::attr::{match_raw_bloom, SketchFormat};
+use crate::entry_table::{read_rng, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
 use crate::outcome::{DeleteFailure, InsertFailure, InsertOutcome};
 use crate::params::{CcfParams, ParamsError};
 use crate::predicate::Predicate;
 
-/// One entry: a key fingerprint plus the Bloom sketch of all its rows' attributes.
-#[derive(Debug, Clone)]
-struct Entry {
-    fp: u16,
-    sketch: TinyBloom,
-}
-
 /// Conditional cuckoo filter with per-entry Bloom attribute sketches.
 #[derive(Debug, Clone)]
 pub struct BloomCcf {
-    buckets: Vec<Vec<Entry>>,
-    bucket_mask: usize,
+    /// One slot per key fingerprint in a bucket pair: κ and the sketch record of all
+    /// its rows' (column, value) pairs.
+    table: EntryTable,
     params: CcfParams,
-    fingerprinter: Fingerprinter,
-    partial_hasher: SaltedHasher,
-    bloom_family: HashFamily,
+    sketch: SketchFormat,
     key_lower: SaltedHasher,
-    rng: StdRng,
-    occupied: usize,
     rows_absorbed: usize,
     instruments: CcfInstruments,
 }
@@ -70,15 +58,12 @@ impl BloomCcf {
             return Err(ParamsError::ZeroBloomBits);
         }
         let family = HashFamily::new(params.seed);
+        let sketch =
+            SketchFormat::new(params.bloom_bits, params.bloom_hashes, &family.subfamily(7));
         Ok(Self {
-            buckets: vec![Vec::new(); params.num_buckets],
-            bucket_mask: params.num_buckets - 1,
-            fingerprinter: Fingerprinter::new(&family, params.fingerprint_bits),
-            partial_hasher: family.hasher(ccf_hash::salted::purpose::PARTIAL_KEY),
-            bloom_family: family.subfamily(7),
+            table: EntryTable::new(&family, &params, sketch.words(), params.seed ^ 0xB100),
+            sketch,
             key_lower: family.hasher(ccf_hash::salted::purpose::KEY_LOWER),
-            rng: StdRng::seed_from_u64(params.seed ^ 0xB100),
-            occupied: 0,
             rows_absorbed: 0,
             instruments: CcfInstruments::disabled(),
             params,
@@ -90,18 +75,12 @@ impl BloomCcf {
     /// sketch bits (the sketch hashers are shared configuration, rebuilt from the
     /// seed). The Bloom variant never grows, so no growth state is stored.
     pub(crate) fn snapshot_payload(&self, w: &mut ccf_cuckoo::ByteWriter) {
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        self.table.write_rng(w);
         w.put_usize(self.rows_absorbed);
-        for bucket in &self.buckets {
-            w.put_u16(u16::try_from(bucket.len()).expect("bucket wider than u16"));
-            for entry in bucket {
-                w.put_u16(entry.fp);
-                w.put_usize(entry.sketch.pairs_inserted());
-                w.put_len_bytes(&entry.sketch.to_bits().to_bytes());
-            }
-        }
+        self.table.write_buckets(w, |w, fp, record| {
+            w.put_u16(fp);
+            self.sketch.write(w, record);
+        });
     }
 
     /// Inverse of [`BloomCcf::snapshot_payload`]; sketch widths are re-validated
@@ -110,51 +89,16 @@ impl BloomCcf {
         params: CcfParams,
         r: &mut ccf_cuckoo::ByteReader<'_>,
     ) -> Result<Self, ccf_cuckoo::SnapshotError> {
-        use ccf_cuckoo::SnapshotError;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
+        let rng = read_rng(r)?;
         let rows_absorbed = r.get_usize()?;
-        let mut f = Self::try_new(params).map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        let sketch_bytes = params.bloom_bits.div_ceil(8);
-        let mut occupied = 0usize;
-        for bucket in &mut f.buckets {
-            let len = usize::from(r.get_u16()?);
-            if len > params.entries_per_bucket {
-                return Err(SnapshotError::Invalid(format!(
-                    "bucket holds {len} entries but b = {}",
-                    params.entries_per_bucket
-                )));
-            }
-            bucket.reserve_exact(len);
-            for _ in 0..len {
-                let fp = r.get_u16()?;
-                if fp == 0 {
-                    return Err(SnapshotError::Invalid("stored fingerprint is zero".into()));
-                }
-                let pairs_inserted = r.get_usize()?;
-                let bits = r.get_len_bytes()?;
-                if bits.len() != sketch_bytes {
-                    return Err(SnapshotError::Invalid(format!(
-                        "sketch image is {} bytes; bloom_bits = {} needs {sketch_bytes}",
-                        bits.len(),
-                        params.bloom_bits
-                    )));
-                }
-                let sketch = TinyBloom::from_bits(
-                    ccf_bloom::BitVec::from_bytes(bits, params.bloom_bits),
-                    params.bloom_hashes,
-                    &f.bloom_family,
-                    pairs_inserted,
-                );
-                bucket.push(Entry { fp, sketch });
-            }
-            occupied += len;
-        }
-        f.occupied = occupied;
+        let mut f = crate::snapshot::at_base_size(params, 0, Self::try_new)?;
+        let sketch = &f.sketch;
+        f.table.restore(0, rng, r, |r, record| {
+            let fp = r.get_u16()?;
+            sketch.read(r, record)?;
+            Ok(fp)
+        })?;
         f.rows_absorbed = rows_absorbed;
-        f.rng = StdRng::from_state(rng_state);
         Ok(f)
     }
 
@@ -184,7 +128,7 @@ impl BloomCcf {
 
     /// Number of occupied entries (one per distinct key fingerprint per bucket pair).
     pub fn occupied_entries(&self) -> usize {
-        self.occupied
+        self.table.occupied()
     }
 
     /// Number of rows absorbed.
@@ -194,12 +138,12 @@ impl BloomCcf {
 
     /// Total entry slots `m · b`.
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * self.params.entries_per_bucket
+        self.table.capacity()
     }
 
     /// Load factor β.
     pub fn load_factor(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
+        self.table.load_factor()
     }
 
     /// Serialized size in bits: every slot carries |κ| + Bloom bits.
@@ -207,46 +151,16 @@ impl BloomCcf {
         self.capacity() * self.params.bloom_entry_bits()
     }
 
-    /// Per-bucket occupancy summary, including the actual heap footprint of the
-    /// bucket storage (spine, per-bucket entry arrays, and per-entry Bloom sketches).
+    /// Per-bucket occupancy summary, including the allocated heap bytes of the entry
+    /// table (whose payload slab holds the sketches).
     pub fn occupancy(&self) -> OccupancyStats {
-        let heap = std::mem::size_of_val(self.buckets.as_slice())
-            + self
-                .buckets
-                .iter()
-                .map(|b| {
-                    std::mem::size_of_val(b.as_slice())
-                        + b.iter().map(|e| e.sketch.heap_bytes()).sum::<usize>()
-                })
-                .sum::<usize>();
-        OccupancyStats::from_counts(
-            self.buckets.iter().map(Vec::len),
-            self.params.entries_per_bucket,
-        )
-        .with_heap_bytes(heap)
+        self.table.occupancy()
     }
 
     /// Resize-history summary. The Bloom variant does not grow, so the history is
     /// always empty (zero doublings).
     pub fn growth_stats(&self) -> GrowthStats {
-        GrowthStats {
-            base_buckets: self.buckets.len(),
-            current_buckets: self.buckets.len(),
-            growth_bits: 0,
-        }
-    }
-
-    #[inline]
-    fn alt_bucket(&self, bucket: usize, fp: u16) -> usize {
-        (bucket ^ self.partial_hasher.hash_u64(u64::from(fp)) as usize) & self.bucket_mask
-    }
-
-    fn new_sketch(&self) -> TinyBloom {
-        TinyBloom::new(
-            self.params.bloom_bits,
-            self.params.bloom_hashes,
-            &self.bloom_family,
-        )
+        self.table.growth_stats()
     }
 
     /// Insert a row. Rows whose key fingerprint is already present in the bucket pair
@@ -276,61 +190,32 @@ impl BloomCcf {
     }
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
-        let (fp, l) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.buckets.len());
-        let l_alt = self.alt_bucket(l, fp);
+        let (fp, l, l_alt) = self.table.pair_of(key);
         self.rows_absorbed += 1;
 
         // Merge into an existing entry for this fingerprint (duplicate key, or a
         // colliding key — either way no false negatives are introduced).
-        let buckets: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
-        for &bkt in buckets {
-            if let Some(e) = self.buckets[bkt].iter_mut().find(|e| e.fp == fp) {
-                e.sketch.insert_row(attrs);
-                return Ok(InsertOutcome::Merged);
-            }
+        let existing = self.table.pair_slots(fp, l, l_alt).next();
+        if let Some((bucket, slot)) = existing {
+            add_row(&self.sketch, self.table.payload_mut(bucket, slot), attrs);
+            return Ok(InsertOutcome::Merged);
         }
 
         // Otherwise create a fresh entry, kicking as needed.
-        let mut sketch = self.new_sketch();
-        sketch.insert_row(attrs);
-        let entry = Entry { fp, sketch };
-        let b = self.params.entries_per_bucket;
-        if self.buckets[l].len() < b {
-            self.buckets[l].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
+        let staged = self.table.staged_mut();
+        staged.fill(0);
+        add_row(&self.sketch, staged, attrs);
+        let placed = self.table.place_staged(
+            fp,
+            (l, l_alt),
+            KickRule::CoinTestAfter,
+            self.params.max_kicks,
+            &self.instruments,
+        );
+        if placed.is_err() {
+            self.rows_absorbed -= 1;
         }
-        if self.buckets[l_alt].len() < b {
-            self.buckets[l_alt].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
-        }
-        let mut carried = entry;
-        let mut bucket = if self.rng.gen_bool(0.5) { l } else { l_alt };
-        let mut swaps: Vec<(usize, usize)> = Vec::new();
-        for _ in 0..self.params.max_kicks {
-            let slot = self.rng.gen_range(0..b);
-            std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-            swaps.push((bucket, slot));
-            bucket = self.alt_bucket(bucket, carried.fp);
-            if self.buckets[bucket].len() < b {
-                self.buckets[bucket].push(carried);
-                self.occupied += 1;
-                self.instruments.kick_depth.observe(swaps.len() as u64);
-                return Ok(InsertOutcome::Inserted);
-            }
-        }
-        self.instruments.kick_depth.observe(swaps.len() as u64);
-        self.instruments.rollbacks.inc();
-        for (bucket, slot) in swaps.into_iter().rev() {
-            std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-        }
-        self.rows_absorbed -= 1;
-        Err(InsertFailure::kicks_exhausted_at(self.load_factor()))
+        placed
     }
 
     /// Deletion is structurally unsupported: every row of a key is merged into one
@@ -426,7 +311,7 @@ impl BloomCcf {
 
     /// [`BloomCcf::query`] on already-lowered key material.
     pub fn query_prehashed(&self, key: u64, pred: &Predicate) -> bool {
-        let (fp, l, l_alt) = self.pair_of(key);
+        let (fp, l, l_alt) = self.table.pair_of(key);
         let hit = self.query_pair(fp, l, l_alt, pred);
         self.instruments.record_query(hit);
         hit
@@ -435,12 +320,9 @@ impl BloomCcf {
     /// The probe shared by [`BloomCcf::query`] and [`BloomCcf::query_batch`], so the
     /// two can never diverge.
     fn query_pair(&self, fp: u16, l: usize, l_alt: usize, pred: &Predicate) -> bool {
-        let buckets: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
-        buckets.iter().any(|&bkt| {
-            self.buckets[bkt]
-                .iter()
-                .any(|e| e.fp == fp && match_raw_bloom(pred, &e.sketch))
-        })
+        self.table
+            .pair_slots(fp, l, l_alt)
+            .any(|(b, s)| match_raw_bloom(pred, &self.sketch, self.table.payload(b, s)))
     }
 
     /// Batched predicate query: bit-identical to calling [`BloomCcf::query`] per key,
@@ -454,8 +336,8 @@ impl BloomCcf {
     pub fn query_batch_prehashed(&self, keys: &[u64], pred: &Predicate) -> Vec<bool> {
         let hits = probe_chunked(
             keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
+            |key| self.table.pair_of(key),
+            |bucket| self.table.prefetch(bucket),
             |fp, l, l_alt| self.query_pair(fp, l, l_alt, pred),
         );
         self.instruments.record_query_batch(&hits);
@@ -469,11 +351,8 @@ impl BloomCcf {
 
     /// [`BloomCcf::contains_key`] on already-lowered key material.
     pub fn contains_key_prehashed(&self, key: u64) -> bool {
-        let (fp, l) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.buckets.len());
-        let l_alt = self.alt_bucket(l, fp);
-        self.buckets[l].iter().any(|e| e.fp == fp) || self.buckets[l_alt].iter().any(|e| e.fp == fp)
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        self.table.contains(fp, l, l_alt)
     }
 
     /// Batched key-only membership query (see [`BloomCcf::query_batch`]).
@@ -483,50 +362,40 @@ impl BloomCcf {
 
     /// [`BloomCcf::contains_key_batch`] on already-lowered key material.
     pub fn contains_key_batch_prehashed(&self, keys: &[u64]) -> Vec<bool> {
-        probe_chunked(
-            keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
-            |fp, l, l_alt| {
-                self.buckets[l].iter().any(|e| e.fp == fp)
-                    || self.buckets[l_alt].iter().any(|e| e.fp == fp)
-            },
-        )
-    }
-
-    /// The `(κ, ℓ, ℓ′)` triple for a key (this variant never grows, so the full
-    /// bucket mask is the base mask).
-    #[inline]
-    fn pair_of(&self, key: u64) -> (u16, usize, usize) {
-        let (fp, l) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.buckets.len());
-        (fp, l, self.alt_bucket(l, fp))
+        self.table.contains_batch(keys)
     }
 
     /// Predicate-only query (Algorithm 2): erase entries whose sketch cannot match the
     /// predicate and return the surviving key fingerprints as a standard cuckoo filter
     /// with the same geometry.
     pub fn predicate_filter(&self, pred: &Predicate) -> CuckooFilter {
+        let t = &self.table;
         let mut out = CuckooFilter::with_geometry(
-            self.buckets.len(),
+            t.num_buckets(),
             self.params.entries_per_bucket,
             self.params.fingerprint_bits,
             self.params.seed,
             self.params.storage,
         );
-        for (bucket_idx, bucket) in self.buckets.iter().enumerate() {
-            for e in bucket {
-                if match_raw_bloom(pred, &e.sketch) {
+        for bucket in 0..t.num_buckets() {
+            for slot in 0..t.len(bucket) {
+                if match_raw_bloom(pred, &self.sketch, t.payload(bucket, slot)) {
                     // Entries are copied in place (H′_{ℓ,i} = κ): the surviving
                     // fingerprint is inserted with the same bucket as its current home,
                     // which is always one of its two legal buckets.
-                    out.insert_fingerprint(e.fp, bucket_idx)
+                    out.insert_fingerprint(t.fp(bucket, slot), bucket)
                         .expect("derived filter has identical geometry, insertion cannot fail");
                 }
             }
         }
         out
+    }
+}
+
+/// Insert every (column, value) pair of a row into a sketch record.
+fn add_row(sketch: &SketchFormat, record: &mut [u16], attrs: &[u64]) {
+    for (col, &v) in attrs.iter().enumerate() {
+        sketch.insert_pair(record, col, v);
     }
 }
 
@@ -681,5 +550,27 @@ mod tests {
     fn size_bits_reflects_bloom_budget() {
         let f = BloomCcf::new(params(8));
         assert_eq!(f.size_bits(), 1024 * 4 * (12 + 24));
+    }
+
+    #[test]
+    fn heap_bytes_are_the_tables_allocated_capacity() {
+        let mut f = BloomCcf::new(params(10));
+        for key in 0..2000u64 {
+            f.insert_row(key, &[key % 3, 7]).unwrap();
+        }
+        let heap = f.occupancy().heap_bytes;
+        assert_eq!(heap, f.table.heap_bytes());
+        // κ plus a 24-bit sketch and its pair count: 2 + 2·(2 + 4) bytes per slot,
+        // and no hasher list per entry.
+        assert!(
+            heap >= f.capacity() * 14,
+            "{heap} B for {} slots",
+            f.capacity()
+        );
+        assert!(
+            heap < f.capacity() * 17,
+            "{heap} B for {} slots",
+            f.capacity()
+        );
     }
 }

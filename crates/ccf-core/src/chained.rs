@@ -16,16 +16,14 @@
 //! to agree on). [`ChainedCcf::chain_cycle_stats`] still reports how often the raw
 //! recurrence would have cycled, for the curious.
 
-use ccf_cuckoo::geometry::{
-    grow_and_retry, prefetch_index, probe_chunked, split_buckets, SplitGeometry,
-};
-use ccf_cuckoo::{GrowthStats, OccupancyStats};
+use ccf_bloom::BitVec;
+use ccf_cuckoo::geometry::{grow_and_retry, probe_chunked, SplitGeometry};
+use ccf_cuckoo::{GrowthStats, OccupancyStats, PackedBuckets};
 use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::attr::match_fingerprint_vector;
+use crate::attr::{fingerprint_into, match_fingerprint_vector};
+use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
 use crate::outcome::{DeleteFailure, InsertFailure, InsertOutcome};
@@ -38,25 +36,89 @@ use crate::predicate::Predicate;
 /// the no-false-negative guarantee).
 const WALK_SAFETY_CAP: usize = 1 << 16;
 
-/// One stored row: key fingerprint plus attribute fingerprint vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
-    fp: u16,
-    attrs: Vec<u16>,
+/// The chain rule — hop hash, saturation count `d` and walk cap — shared by a chained
+/// filter and the predicate filters derived from it, so their walks cannot drift.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    hasher: SaltedHasher,
+    max_dupes: usize,
+    max_walk: usize,
+}
+
+impl Chain {
+    fn new(family: &HashFamily, params: &CcfParams) -> Self {
+        Self {
+            hasher: family.hasher(ccf_hash::salted::purpose::CHAIN),
+            max_dupes: params.max_dupes,
+            max_walk: params.max_chain.unwrap_or(WALK_SAFETY_CAP),
+        }
+    }
+
+    /// The start bucket of the next chain pair: `h(min(ℓ, ℓ′), κ)` salted with the
+    /// chain depth (cycle resolution — see module docs). The hop only rewrites the
+    /// base-geometry bits ([`SplitGeometry::rebase`]): the whole chain of a
+    /// fingerprint stays inside its growth block, which is what lets growth migrate
+    /// chained entries as a pure remap.
+    #[inline]
+    fn hop(
+        &self,
+        geometry: &SplitGeometry,
+        l: usize,
+        l_alt: usize,
+        fp: u16,
+        depth: usize,
+    ) -> usize {
+        let lmin = l.min(l_alt);
+        let hop = self.hasher.hash_pair(
+            (lmin & geometry.base_mask()) as u64,
+            (u64::from(fp) << 32) | depth as u64,
+        ) as usize;
+        geometry.rebase(hop, lmin)
+    }
+
+    /// Walk κ's chain from the pair (ℓ, ℓ′) (Algorithm 5): true as soon as `matches`
+    /// accepts a copy's (bucket, slot), false at the first pair holding fewer than `d`
+    /// copies, and true after `Lmax` saturated pairs (§6.2).
+    fn walk(
+        &self,
+        keys: &PackedBuckets,
+        geometry: &SplitGeometry,
+        fp: u16,
+        (mut l, mut l_alt): (usize, usize),
+        matches: impl Fn(usize, usize) -> bool,
+    ) -> bool {
+        for depth in 0..self.max_walk {
+            let mut count = 0usize;
+            let buckets = if l == l_alt { 1 } else { 2 };
+            for bucket in [l, l_alt].into_iter().take(buckets) {
+                for slot in 0..keys.bucket_len(bucket) {
+                    if keys.get(bucket, slot) == fp {
+                        count += 1;
+                        if matches(bucket, slot) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            if count < self.max_dupes {
+                return false;
+            }
+            l = self.hop(geometry, l, l_alt, fp, depth);
+            l_alt = geometry.alt_bucket(l, fp);
+        }
+        true
+    }
 }
 
 /// Conditional cuckoo filter with chaining.
 #[derive(Debug, Clone)]
 pub struct ChainedCcf {
-    buckets: Vec<Vec<Entry>>,
-    geometry: SplitGeometry,
+    /// One slot per stored row: κ and the row's attribute fingerprint vector.
+    table: EntryTable,
     params: CcfParams,
-    fingerprinter: Fingerprinter,
     attr_fp: AttrFingerprinter,
-    chain_hasher: SaltedHasher,
+    chain: Chain,
     key_lower: SaltedHasher,
-    rng: StdRng,
-    occupied: usize,
     rows_absorbed: usize,
     rows_dropped: usize,
     max_chain_seen: usize,
@@ -80,14 +142,10 @@ impl ChainedCcf {
         params.try_validate()?;
         let family = HashFamily::new(params.seed);
         Ok(Self {
-            buckets: vec![Vec::new(); params.num_buckets],
-            geometry: SplitGeometry::new(&family, params.num_buckets, 0),
-            fingerprinter: Fingerprinter::new(&family, params.fingerprint_bits),
+            table: EntryTable::new(&family, &params, params.num_attrs, params.seed ^ 0xC4A1),
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
-            chain_hasher: family.hasher(ccf_hash::salted::purpose::CHAIN),
+            chain: Chain::new(&family, &params),
             key_lower: family.hasher(ccf_hash::salted::purpose::KEY_LOWER),
-            rng: StdRng::seed_from_u64(params.seed ^ 0xC4A1),
-            occupied: 0,
             rows_absorbed: 0,
             rows_dropped: 0,
             max_chain_seen: 0,
@@ -100,22 +158,12 @@ impl ChainedCcf {
     /// RNG words, the chained variant's extra counters (dropped rows, deepest chain
     /// walk), and every bucket's entries.
     pub(crate) fn snapshot_payload(&self, w: &mut ccf_cuckoo::ByteWriter) {
-        w.put_u32(self.geometry.growth_bits());
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        w.put_u32(self.growth_bits());
+        self.table.write_rng(w);
         w.put_usize(self.rows_absorbed);
         w.put_usize(self.rows_dropped);
         w.put_usize(self.max_chain_seen);
-        for bucket in &self.buckets {
-            w.put_u16(u16::try_from(bucket.len()).expect("bucket wider than u16"));
-            for entry in bucket {
-                w.put_u16(entry.fp);
-                for &a in &entry.attrs {
-                    w.put_u16(a);
-                }
-            }
-        }
+        self.table.write_buckets(w, write_vector_slot);
     }
 
     /// Inverse of [`ChainedCcf::snapshot_payload`]; see
@@ -124,55 +172,17 @@ impl ChainedCcf {
         params: CcfParams,
         r: &mut ccf_cuckoo::ByteReader<'_>,
     ) -> Result<Self, ccf_cuckoo::SnapshotError> {
-        use ccf_cuckoo::SnapshotError;
         let growth_bits = r.get_u32()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
+        let rng = read_rng(r)?;
         let rows_absorbed = r.get_usize()?;
         let rows_dropped = r.get_usize()?;
         let max_chain_seen = r.get_usize()?;
-        let base = crate::snapshot::split_growth(params.num_buckets, growth_bits)?;
-        let mut f = Self::try_new(CcfParams {
-            num_buckets: base,
-            ..params
-        })
-        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        if growth_bits > 0 {
-            let family = HashFamily::new(params.seed);
-            f.geometry = SplitGeometry::new(&family, base, growth_bits);
-            f.buckets = vec![Vec::new(); params.num_buckets];
-            f.params.num_buckets = params.num_buckets;
-        }
-        let mut occupied = 0usize;
-        for bucket in &mut f.buckets {
-            let len = usize::from(r.get_u16()?);
-            if len > params.entries_per_bucket {
-                return Err(SnapshotError::Invalid(format!(
-                    "bucket holds {len} entries but b = {}",
-                    params.entries_per_bucket
-                )));
-            }
-            bucket.reserve_exact(len);
-            for _ in 0..len {
-                let fp = r.get_u16()?;
-                if fp == 0 {
-                    return Err(SnapshotError::Invalid("stored fingerprint is zero".into()));
-                }
-                let mut attrs = Vec::with_capacity(params.num_attrs);
-                for _ in 0..params.num_attrs {
-                    attrs.push(r.get_u16()?);
-                }
-                bucket.push(Entry { fp, attrs });
-            }
-            occupied += len;
-        }
-        f.occupied = occupied;
+        let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
+        f.table.restore(growth_bits, rng, r, read_vector_slot)?;
+        f.params.num_buckets = params.num_buckets;
         f.rows_absorbed = rows_absorbed;
         f.rows_dropped = rows_dropped;
         f.max_chain_seen = max_chain_seen;
-        f.rng = StdRng::from_state(rng_state);
         Ok(f)
     }
 
@@ -201,7 +211,7 @@ impl ChainedCcf {
 
     /// Number of occupied entries.
     pub fn occupied_entries(&self) -> usize {
-        self.occupied
+        self.table.occupied()
     }
 
     /// Number of rows absorbed (including deduplicated and dropped rows).
@@ -221,12 +231,12 @@ impl ChainedCcf {
 
     /// Total entry slots `m · b`.
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * self.params.entries_per_bucket
+        self.table.capacity()
     }
 
     /// Load factor β.
     pub fn load_factor(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
+        self.table.load_factor()
     }
 
     /// Serialized size in bits: every slot carries |κ| + #α·|α| bits.
@@ -241,109 +251,55 @@ impl ChainedCcf {
 
     /// Number of capacity doublings applied so far.
     pub fn growth_bits(&self) -> u32 {
-        self.geometry.growth_bits()
+        self.table.geometry().growth_bits()
     }
 
-    /// Per-bucket occupancy summary, including the actual heap footprint of the
-    /// bucket storage (spine, per-bucket entry arrays, and per-entry attribute
-    /// vectors).
+    /// Per-bucket occupancy summary, including the allocated heap bytes of the entry
+    /// table.
     pub fn occupancy(&self) -> OccupancyStats {
-        let heap = std::mem::size_of_val(self.buckets.as_slice())
-            + self
-                .buckets
-                .iter()
-                .map(|b| {
-                    std::mem::size_of_val(b.as_slice())
-                        + b.iter()
-                            .map(|e| std::mem::size_of_val(e.attrs.as_slice()))
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-        OccupancyStats::from_counts(
-            self.buckets.iter().map(Vec::len),
-            self.params.entries_per_bucket,
-        )
-        .with_heap_bytes(heap)
+        self.table.occupancy()
     }
 
     /// Resize-history summary.
     pub fn growth_stats(&self) -> GrowthStats {
-        GrowthStats {
-            base_buckets: self.geometry.base_buckets(),
-            current_buckets: self.buckets.len(),
-            growth_bits: self.geometry.growth_bits(),
-        }
+        self.table.growth_stats()
     }
 
     /// Raw storage snapshot: per bucket, the (κ, attribute-fingerprint-vector) entries
     /// in slot order. Used by rollback tests and state diagnostics; two filters with
     /// equal snapshots answer every query identically.
     pub fn bucket_snapshot(&self) -> Vec<Vec<(u16, Vec<u16>)>> {
-        self.buckets
-            .iter()
-            .map(|bucket| bucket.iter().map(|e| (e.fp, e.attrs.clone())).collect())
+        let t = &self.table;
+        (0..t.num_buckets())
+            .map(|bucket| {
+                (0..t.len(bucket))
+                    .map(|s| (t.fp(bucket, s), t.payload(bucket, s).to_vec()))
+                    .collect()
+            })
             .collect()
-    }
-
-    /// The alternate bucket ℓ′ = ℓ ⊕ h(κ), with the xor confined to the base-geometry
-    /// bits so a pair always shares its growth bits.
-    #[inline]
-    fn alt_bucket(&self, bucket: usize, fp: u16) -> usize {
-        self.geometry.alt_bucket(bucket, fp)
     }
 
     /// The (fingerprint, primary bucket) pair for a key under the current geometry.
     #[inline]
     fn home_of(&self, key: u64) -> (u16, usize) {
-        let (fp, base) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.geometry.base_buckets());
-        (fp, self.geometry.home_bucket(base, fp))
+        let (fp, l, _) = self.table.pair_of(key);
+        (fp, l)
     }
 
-    /// The start bucket of the next chain pair: `h(min(ℓ, ℓ′), κ)` salted with the
-    /// chain depth (cycle resolution — see module docs). The hop only rewrites the
-    /// base-geometry bits ([`SplitGeometry::rebase`]): the whole chain of a
-    /// fingerprint stays inside its growth block, which is what lets growth migrate
-    /// chained entries as a pure remap.
     #[inline]
     fn next_chain_bucket(&self, l: usize, l_alt: usize, fp: u16, depth: usize) -> usize {
-        let lmin = l.min(l_alt);
-        let hop = self.chain_hasher.hash_pair(
-            (lmin & self.geometry.base_mask()) as u64,
-            (u64::from(fp) << 32) | depth as u64,
-        ) as usize;
-        self.geometry.rebase(hop, lmin)
+        self.chain.hop(self.table.geometry(), l, l_alt, fp, depth)
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints
-    /// alone ([`ccf_cuckoo::geometry::split_buckets`]). Entries of one fingerprint
-    /// move together (same growth bit), every bucket pair maps onto a pair, and chain
-    /// hops only rewrite base-geometry bits — so the remap preserves per-pair
-    /// saturation counts and every chain walk, and cannot fail. No original keys (and
-    /// no chain re-walking) are needed.
+    /// alone. Entries of one fingerprint move together (same growth bit), every bucket
+    /// pair maps onto a pair, and chain hops only rewrite base-geometry bits — so the
+    /// remap preserves per-pair saturation counts and every chain walk, and cannot
+    /// fail. No original keys (and no chain re-walking) are needed.
     pub fn grow(&mut self) {
         self.instruments.grows.inc();
-        let old_m = self.buckets.len();
-        let bit = self.geometry.growth_bits();
-        self.buckets.resize_with(old_m * 2, Vec::new);
-        split_buckets(&self.geometry, &mut self.buckets, old_m, bit, |e| e.fp);
-        self.geometry.record_doubling();
-        self.params.num_buckets = self.buckets.len();
-    }
-
-    fn max_walk(&self) -> usize {
-        self.params.max_chain.unwrap_or(WALK_SAFETY_CAP)
-    }
-
-    /// Count entries with fingerprint `fp` in the pair (l, l_alt).
-    fn pair_fp_count(&self, l: usize, l_alt: usize, fp: u16) -> usize {
-        let first = self.buckets[l].iter().filter(|e| e.fp == fp).count();
-        if l == l_alt {
-            first
-        } else {
-            first + self.buckets[l_alt].iter().filter(|e| e.fp == fp).count()
-        }
+        self.table.grow();
+        self.params.num_buckets = self.table.num_buckets();
     }
 
     /// Insert a row (Algorithm 4). Exact duplicates of a stored (κ, α) pair are
@@ -384,75 +340,49 @@ impl ChainedCcf {
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, mut l) = self.home_of(key);
-        let entry = Entry {
-            fp,
-            attrs: self.attr_fp.fingerprint_vector(attrs),
-        };
+        fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
-        let d = self.params.max_dupes;
-        let b = self.params.entries_per_bucket;
-        let max_walk = self.max_walk();
-
-        for depth in 0..max_walk {
+        for depth in 0..self.chain.max_walk {
             self.max_chain_seen = self.max_chain_seen.max(depth + 1);
-            let l_alt = self.alt_bucket(l, fp);
-
-            // Dedupe: (κ, α) already present in this pair.
-            if self.buckets[l].contains(&entry) || self.buckets[l_alt].contains(&entry) {
-                self.instruments.chain_walk_depth.observe(depth as u64);
-                return Ok(InsertOutcome::Deduplicated);
+            let l_alt = self.table.geometry().alt_bucket(l, fp);
+            let t = &self.table;
+            let mut copies = 0;
+            for (b, s) in t.pair_slots(fp, l, l_alt) {
+                // Dedupe: (κ, α) already present in this pair.
+                if t.payload(b, s) == t.staged() {
+                    self.instruments.chain_walk_depth.observe(depth as u64);
+                    return Ok(InsertOutcome::Deduplicated);
+                }
+                copies += 1;
             }
-
             // Pair saturated with d copies of κ: move to the next pair in the chain.
-            if self.pair_fp_count(l, l_alt, fp) >= d {
+            if copies >= self.chain.max_dupes {
                 l = self.next_chain_bucket(l, l_alt, fp, depth);
                 continue;
             }
-
-            // Room in the primary bucket?
-            if self.buckets[l].len() < b {
-                self.buckets[l].push(entry);
-                self.occupied += 1;
-                self.instruments.chain_walk_depth.observe(depth as u64);
-                self.instruments.kick_depth.observe(0);
-                return Ok(InsertOutcome::Inserted);
-            }
-            // Room in the alternate bucket, else kick loop on it (Algorithm 4's loop).
-            let mut carried = entry;
-            let mut bucket = l_alt;
-            let mut swaps: Vec<(usize, usize)> = Vec::new();
-            for _ in 0..self.params.max_kicks {
-                if self.buckets[bucket].len() < b {
-                    self.buckets[bucket].push(carried);
-                    self.occupied += 1;
-                    self.instruments.chain_walk_depth.observe(depth as u64);
-                    self.instruments.kick_depth.observe(swaps.len() as u64);
-                    return Ok(InsertOutcome::Inserted);
-                }
-                let slot = self.rng.gen_range(0..b);
-                std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-                swaps.push((bucket, slot));
-                // The carried item is now the kicked victim; move it towards its
-                // alternate bucket (within its own pair, so lemma 1's cap is kept).
-                bucket = self.alt_bucket(bucket, carried.fp);
-            }
-            // Exhausted kicks: roll back so earlier rows keep their guarantee.
+            // The primary bucket, else kicks from the alternate (Algorithm 4's loop;
+            // a victim only moves within its own pair, so Lemma 1's cap is kept).
+            let placed = self.table.place_staged(
+                fp,
+                (l, l_alt),
+                KickRule::AltTestBefore,
+                self.params.max_kicks,
+                &self.instruments,
+            );
             self.instruments.chain_walk_depth.observe(depth as u64);
-            self.instruments.kick_depth.observe(swaps.len() as u64);
-            self.instruments.rollbacks.inc();
-            for (bucket, slot) in swaps.into_iter().rev() {
-                std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
+            if placed.is_err() {
+                self.rows_absorbed -= 1;
             }
-            self.rows_absorbed -= 1;
-            return Err(InsertFailure::kicks_exhausted_at(self.load_factor()));
+            return placed;
         }
         // Chain cap Lmax reached with every pair saturated: the row is discarded, but
         // queries walking the same saturated chain return true (Theorem 3).
-        self.instruments.chain_walk_depth.observe(max_walk as u64);
+        self.instruments
+            .chain_walk_depth
+            .observe(self.chain.max_walk as u64);
         self.rows_dropped += 1;
         Ok(InsertOutcome::DroppedChainCap)
     }
-
     /// Delete one stored copy of a row without breaking the chain encoding.
     ///
     /// The chain is a counting code: a query walks to the next bucket pair only while
@@ -501,9 +431,8 @@ impl ChainedCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                let alpha = self.attr_fp.fingerprint_vector(attrs);
-                let (fp, l) = self.home_of(key);
-                Ok(self.delete_from_chain(fp, l, |e| e.attrs == alpha))
+                fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+                Ok(self.delete_from_chain(key, true))
             }
             Err(e) => Err(e),
         };
@@ -521,8 +450,7 @@ impl ChainedCcf {
 
     /// [`ChainedCcf::delete_key`] on already-lowered key material.
     pub fn delete_key_prehashed(&mut self, key: u64) -> Result<bool, DeleteFailure> {
-        let (fp, l) = self.home_of(key);
-        let result = Ok(self.delete_from_chain(fp, l, |_| true));
+        let result = Ok(self.delete_from_chain(key, false));
         self.instruments.record_delete(&result);
         result
     }
@@ -534,43 +462,39 @@ impl ChainedCcf {
     /// exactly the set of pairs a query would scan — and, by the chain invariant,
     /// every stored copy of κ lives in one of its buckets.
     fn walk_pairs(&self, fp: u16, home: usize) -> Vec<(usize, usize)> {
-        let d = self.params.max_dupes;
         let mut pairs = Vec::new();
         let mut l = home;
-        for depth in 0..self.max_walk() {
-            let l_alt = self.alt_bucket(l, fp);
+        for depth in 0..self.chain.max_walk {
+            let l_alt = self.table.geometry().alt_bucket(l, fp);
             pairs.push((l, l_alt));
-            if self.pair_fp_count(l, l_alt, fp) >= d {
-                l = self.next_chain_bucket(l, l_alt, fp, depth);
-            } else {
+            if self.table.count_in_pair(fp, l, l_alt) < self.chain.max_dupes {
                 break;
             }
+            l = self.next_chain_bucket(l, l_alt, fp, depth);
         }
         pairs
     }
 
-    /// Walk the key's chain, remove one entry satisfying `matches`, and repair the
-    /// chain encoding (module-level mechanics in [`ChainedCcf::delete_row`]).
+    /// Walk the key's chain, remove one entry carrying its fingerprint and, with
+    /// `by_row`, the staged attribute fingerprint vector, and repair the chain
+    /// encoding (module-level mechanics in [`ChainedCcf::delete_row`]).
     ///
     /// The deepest matching copy is removed (tail-first), then
     /// [`ChainedCcf::repair_chain`] restores the saturation invariant. "Depth" of an
     /// entry means the first walk depth whose pair contains the entry's bucket —
     /// chain hops occasionally land on a bucket an earlier pair already uses, and
     /// that aliasing is precisely what the repair pass exists for.
-    fn delete_from_chain(
-        &mut self,
-        fp: u16,
-        home: usize,
-        matches: impl Fn(&Entry) -> bool,
-    ) -> bool {
+    fn delete_from_chain(&mut self, key: u64, by_row: bool) -> bool {
+        let (fp, home) = self.home_of(key);
         let pairs = self.walk_pairs(fp, home);
         let visited = visited_buckets(&pairs);
         // Deepest (by first-visit depth) entry satisfying the match.
+        let t = &self.table;
         let mut matched: Option<(usize, usize, usize)> = None; // (first_depth, bucket, slot)
         for &(fd, bkt) in &visited {
-            for slot in 0..self.buckets[bkt].len() {
-                let e = &self.buckets[bkt][slot];
-                if e.fp == fp && matches(e) && matched.map_or(true, |(mfd, _, _)| fd >= mfd) {
+            for slot in t.slots_with(bkt, fp) {
+                let hit = !by_row || t.payload(bkt, slot) == t.staged();
+                if hit && matched.map_or(true, |(mfd, _, _)| fd >= mfd) {
                     matched = Some((fd, bkt, slot));
                 }
             }
@@ -578,8 +502,7 @@ impl ChainedCcf {
         let Some((_, mb, ms)) = matched else {
             return false;
         };
-        self.buckets[mb].swap_remove(ms);
-        self.occupied -= 1;
+        self.table.swap_remove(mb, ms);
         self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
         self.repair_chain(fp, &pairs, &visited);
         true
@@ -595,44 +518,41 @@ impl ChainedCcf {
     /// the common (alias-free) case it exits on the first pass without moving
     /// anything.
     fn repair_chain(&mut self, fp: u16, pairs: &[(usize, usize)], visited: &[(usize, usize)]) {
-        let d = self.params.max_dupes;
         let b = self.params.entries_per_bucket;
         loop {
+            let t = &self.table;
             // Deepest first-visit depth among the remaining copies.
-            let deepest = visited
-                .iter()
-                .filter(|&&(_, bkt)| self.buckets[bkt].iter().any(|e| e.fp == fp))
-                .map(|&(fd, _)| fd)
-                .max();
-            let Some(deepest) = deepest else { return };
+            let holds_copy = |&&(_, bkt): &&(usize, usize)| t.keys().contains(bkt, fp);
+            let Some(deepest) = visited.iter().filter(holds_copy).map(|&(fd, _)| fd).max() else {
+                return;
+            };
             // Shallowest dented pair in front of it.
             let deficit = pairs[..deepest]
                 .iter()
-                .position(|&(l, l_alt)| self.pair_fp_count(l, l_alt, fp) < d);
-            let Some(t) = deficit else { return };
+                .position(|&(l, l_alt)| t.count_in_pair(fp, l, l_alt) < self.chain.max_dupes);
+            let Some(dented) = deficit else { return };
             // Donor: any copy whose bucket first appears at the deepest depth.
             let Some(&(_, donor_bkt)) = visited
                 .iter()
-                .find(|&&(fd, bkt)| fd == deepest && self.buckets[bkt].iter().any(|e| e.fp == fp))
+                .filter(holds_copy)
+                .find(|&&(fd, _)| fd == deepest)
             else {
                 return;
             };
-            let donor_slot = self.buckets[donor_bkt]
-                .iter()
-                .position(|e| e.fp == fp)
+            let donor_slot = t
+                .slots_with(donor_bkt, fp)
+                .next()
                 .expect("donor bucket holds a copy");
             // Target: a bucket of the dented pair with spare capacity — the freed
             // slot is in one of them by construction.
-            let (l, l_alt) = pairs[t];
-            let target = [l, l_alt]
-                .into_iter()
-                .find(|&bkt| self.buckets[bkt].len() < b);
-            let Some(target) = target else {
+            let (l, l_alt) = pairs[dented];
+            let Some(target) = [l, l_alt].into_iter().find(|&bkt| t.len(bkt) < b) else {
                 debug_assert!(false, "dented chain pair has no free slot");
                 return;
             };
-            let entry = self.buckets[donor_bkt].swap_remove(donor_slot);
-            self.buckets[target].push(entry);
+            let fp = self.table.stage(donor_bkt, donor_slot);
+            self.table.swap_remove(donor_bkt, donor_slot);
+            self.table.push_staged(target, fp);
         }
     }
 
@@ -680,10 +600,8 @@ impl ChainedCcf {
 
     /// [`ChainedCcf::query`] on already-lowered key material.
     pub fn query_prehashed(&self, key: u64, pred: &Predicate) -> bool {
-        let (fp, l) = self.home_of(key);
-        let hit = self.query_walk(fp, l, |e| {
-            match_fingerprint_vector(pred, &e.attrs, &self.attr_fp)
-        });
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        let hit = self.query_walk(fp, l, l_alt, pred);
         self.instruments.record_query(hit);
         hit
     }
@@ -700,13 +618,9 @@ impl ChainedCcf {
     pub fn query_batch_prehashed(&self, keys: &[u64], pred: &Predicate) -> Vec<bool> {
         let hits = probe_chunked(
             keys,
-            |key| self.first_pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
-            |fp, l, l_alt| {
-                self.query_walk_from(fp, l, l_alt, |e| {
-                    match_fingerprint_vector(pred, &e.attrs, &self.attr_fp)
-                })
-            },
+            |key| self.table.pair_of(key),
+            |bucket| self.table.prefetch(bucket),
+            |fp, l, l_alt| self.query_walk(fp, l, l_alt, pred),
         );
         self.instruments.record_query_batch(&hits);
         hits
@@ -721,9 +635,8 @@ impl ChainedCcf {
 
     /// [`ChainedCcf::contains_key`] on already-lowered key material.
     pub fn contains_key_prehashed(&self, key: u64) -> bool {
-        let (fp, l) = self.home_of(key);
-        let l_alt = self.alt_bucket(l, fp);
-        self.buckets[l].iter().any(|e| e.fp == fp) || self.buckets[l_alt].iter().any(|e| e.fp == fp)
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        self.table.contains(fp, l, l_alt)
     }
 
     /// Batched key-only membership query (see [`ChainedCcf::query_batch`]).
@@ -733,63 +646,17 @@ impl ChainedCcf {
 
     /// [`ChainedCcf::contains_key_batch`] on already-lowered key material.
     pub fn contains_key_batch_prehashed(&self, keys: &[u64]) -> Vec<bool> {
-        probe_chunked(
-            keys,
-            |key| self.first_pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
-            |fp, l, l_alt| {
-                self.buckets[l].iter().any(|e| e.fp == fp)
-                    || self.buckets[l_alt].iter().any(|e| e.fp == fp)
-            },
-        )
+        self.table.contains_batch(keys)
     }
 
-    /// The `(κ, ℓ, ℓ′)` triple of a key's first bucket pair.
-    #[inline]
-    fn first_pair_of(&self, key: u64) -> (u16, usize, usize) {
-        let (fp, l) = self.home_of(key);
-        (fp, l, self.alt_bucket(l, fp))
-    }
-
-    /// Walk the chain, applying `matches` to each entry carrying the key's fingerprint.
-    fn query_walk<F: Fn(&Entry) -> bool>(&self, fp: u16, l: usize, matches: F) -> bool {
-        let l_alt = self.alt_bucket(l, fp);
-        self.query_walk_from(fp, l, l_alt, matches)
-    }
-
-    /// [`ChainedCcf::query_walk`] with the first pair's alternate bucket already
-    /// derived (the batched path precomputes it).
-    fn query_walk_from<F: Fn(&Entry) -> bool>(
-        &self,
-        fp: u16,
-        mut l: usize,
-        mut l_alt: usize,
-        matches: F,
-    ) -> bool {
-        let d = self.params.max_dupes;
-        let max_walk = self.max_walk();
-        for depth in 0..max_walk {
-            let mut count = 0usize;
-            let buckets: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
-            for &bkt in buckets {
-                for e in &self.buckets[bkt] {
-                    if e.fp == fp {
-                        count += 1;
-                        if matches(e) {
-                            return true;
-                        }
-                    }
-                }
-            }
-            if count >= d {
-                l = self.next_chain_bucket(l, l_alt, fp, depth);
-                l_alt = self.alt_bucket(l, fp);
-            } else {
-                return false;
-            }
-        }
-        // Lmax saturated pairs inspected without an answer: return true (§6.2).
-        true
+    /// Walk the key's chain from its first pair, matching each copy's attribute
+    /// fingerprint vector against the predicate.
+    fn query_walk(&self, fp: u16, l: usize, l_alt: usize, pred: &Predicate) -> bool {
+        let t = &self.table;
+        self.chain
+            .walk(t.keys(), t.geometry(), fp, (l, l_alt), |bucket, slot| {
+                match_fingerprint_vector(pred, t.payload(bucket, slot), &self.attr_fp)
+            })
     }
 
     /// Predicate-only query (§6.2): derive a key filter for the set of keys whose
@@ -797,29 +664,24 @@ impl ChainedCcf {
     /// but marked non-matching, so chains stay intact and key queries on the derived
     /// filter preserve the no-false-negative guarantee.
     pub fn predicate_filter(&self, pred: &Predicate) -> ChainedPredicateFilter {
-        let marked: Vec<Vec<(u16, bool)>> = self
-            .buckets
-            .iter()
-            .map(|bucket| {
-                bucket
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.fp,
-                            match_fingerprint_vector(pred, &e.attrs, &self.attr_fp),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let t = &self.table;
+        let b = self.params.entries_per_bucket;
+        let mut matching = BitVec::new(t.capacity());
+        for bucket in 0..t.num_buckets() {
+            for slot in 0..t.len(bucket) {
+                if match_fingerprint_vector(pred, t.payload(bucket, slot), &self.attr_fp) {
+                    matching.set(bucket * b + slot);
+                }
+            }
+        }
         ChainedPredicateFilter {
-            buckets: marked,
+            keys: t.keys().clone(),
+            matching,
             // The derived filter copies the source's geometry and hashers verbatim, so
             // its walk agrees bucket-for-bucket at any growth level.
-            geometry: self.geometry,
-            params: self.params,
-            fingerprinter: self.fingerprinter,
-            chain_hasher: self.chain_hasher,
+            geometry: *t.geometry(),
+            fingerprinter: *t.fingerprinter(),
+            chain: self.chain,
             key_lower: self.key_lower,
         }
     }
@@ -841,7 +703,7 @@ impl ChainedCcf {
             let (fp, mut l) = self.home_of(key);
             let mut seen = std::collections::HashSet::new();
             for _ in 0..steps {
-                let l_alt = self.alt_bucket(l, fp);
+                let l_alt = self.table.geometry().alt_bucket(l, fp);
                 let pair_id = l.min(l_alt);
                 if !seen.insert(pair_id) {
                     cycles += 1;
@@ -870,16 +732,17 @@ fn visited_buckets(pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
     out
 }
 
-/// The result of a predicate-only query on a chained CCF (§6.2): key fingerprints with
-/// a one-bit matching mark per entry. Supports key membership queries for the
-/// predicate's key set with no false negatives.
+/// The result of a predicate-only query on a chained CCF (§6.2): the source's key
+/// fingerprints with a one-bit matching mark per slot. Supports key membership queries
+/// for the predicate's key set with no false negatives.
 #[derive(Debug, Clone)]
 pub struct ChainedPredicateFilter {
-    buckets: Vec<Vec<(u16, bool)>>,
+    keys: PackedBuckets,
+    /// Bit `B · b + s`: whether slot `s` of bucket `B` matched the predicate.
+    matching: BitVec,
     geometry: SplitGeometry,
-    params: CcfParams,
     fingerprinter: Fingerprinter,
-    chain_hasher: SaltedHasher,
+    chain: Chain,
     key_lower: SaltedHasher,
 }
 
@@ -897,42 +760,23 @@ impl ChainedPredicateFilter {
         let (fp, base) = self
             .fingerprinter
             .fingerprint_and_bucket(key, self.geometry.base_buckets());
-        let mut l = self.geometry.home_bucket(base, fp);
-        let d = self.params.max_dupes;
-        let max_walk = self.params.max_chain.unwrap_or(WALK_SAFETY_CAP);
-        for depth in 0..max_walk {
-            let l_alt = self.geometry.alt_bucket(l, fp);
-            let mut count = 0usize;
-            let buckets: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
-            for &bkt in buckets {
-                for &(efp, matching) in &self.buckets[bkt] {
-                    if efp == fp {
-                        count += 1;
-                        if matching {
-                            return true;
-                        }
-                    }
-                }
-            }
-            if count >= d {
-                let lmin = l.min(l_alt);
-                let hop = self.chain_hasher.hash_pair(
-                    (lmin & self.geometry.base_mask()) as u64,
-                    (u64::from(fp) << 32) | depth as u64,
-                ) as usize;
-                l = self.geometry.rebase(hop, lmin);
-            } else {
-                return false;
-            }
-        }
-        true
+        let l = self.geometry.home_bucket(base, fp);
+        let l_alt = self.geometry.alt_bucket(l, fp);
+        let b = self.keys.entries_per_bucket();
+        self.chain.walk(
+            &self.keys,
+            &self.geometry,
+            fp,
+            (l, l_alt),
+            |bucket, slot| self.matching.get(bucket * b + slot),
+        )
     }
 
     /// Serialized size in bits: |κ| + 1 marking bit per slot over every slot.
     pub fn size_bits(&self) -> usize {
-        self.buckets.len()
-            * self.params.entries_per_bucket
-            * (self.params.fingerprint_bits as usize + 1)
+        self.keys.num_buckets()
+            * self.keys.entries_per_bucket()
+            * (self.fingerprinter.fp_bits() as usize + 1)
     }
 }
 
@@ -1072,9 +916,8 @@ mod tests {
         for i in 0..50u64 {
             f.insert_row(key, &[i + 300, i + 400]).unwrap();
         }
-        let (fp, l) = f.fingerprinter.fingerprint_and_bucket(key, f.buckets.len());
-        let l_alt = f.alt_bucket(l, fp);
-        assert!(f.pair_fp_count(l, l_alt, fp) <= f.params().max_dupes);
+        let (fp, l, l_alt) = f.table.pair_of(key);
+        assert!(f.table.count_in_pair(fp, l, l_alt) <= f.params().max_dupes);
     }
 
     #[test]
@@ -1206,9 +1049,8 @@ mod tests {
         }
         // Lemma 1 must survive the remap: at most d copies in the first pair.
         for key in 0..150u64 {
-            let (fp, l) = f.home_of(key);
-            let l_alt = f.alt_bucket(l, fp);
-            assert!(f.pair_fp_count(l, l_alt, fp) <= f.params().max_dupes);
+            let (fp, l, l_alt) = f.table.pair_of(key);
+            assert!(f.table.count_in_pair(fp, l, l_alt) <= f.params().max_dupes);
         }
     }
 
@@ -1302,9 +1144,8 @@ mod tests {
                 );
             }
             // Lemma 1 must keep holding on the first pair.
-            let (fp, l) = f.home_of(key);
-            let l_alt = f.alt_bucket(l, fp);
-            assert!(f.pair_fp_count(l, l_alt, fp) <= f.params().max_dupes);
+            let (fp, l, l_alt) = f.table.pair_of(key);
+            assert!(f.table.count_in_pair(fp, l, l_alt) <= f.params().max_dupes);
         }
         assert!(!f.contains_key(key), "all rows deleted, key must be gone");
         assert_eq!(f.delete_key(key), Ok(false));
@@ -1317,14 +1158,13 @@ mod tests {
         for i in 0..12u64 {
             f.insert_row(key, &[100 + i, 200 + i]).unwrap();
         }
-        let (fp, l) = f.home_of(key);
-        let l_alt = f.alt_bucket(l, fp);
+        let (fp, l, l_alt) = f.table.pair_of(key);
         let d = f.params().max_dupes;
         // Delete all copies; the first pair must stay saturated (at d) until the
         // deeper pairs are drained — Lemma 2's "a copy lives in the first pair"
         // invariant, which contains_key relies on.
         for remaining in (1..=12usize).rev() {
-            assert_eq!(f.pair_fp_count(l, l_alt, fp), d.min(remaining));
+            assert_eq!(f.table.count_in_pair(fp, l, l_alt), d.min(remaining));
             assert!(f.contains_key(key));
             assert_eq!(f.delete_key(key), Ok(true));
         }
@@ -1425,5 +1265,34 @@ mod tests {
             cycles > 0,
             "expected raw-recurrence cycles in a tiny filter"
         );
+    }
+
+    #[test]
+    fn heap_bytes_are_the_tables_allocated_capacity() {
+        let mut f = ChainedCcf::new(
+            CcfParams {
+                num_buckets: 1 << 5,
+                ..params(34)
+            }
+            .with_auto_grow(),
+        );
+        for key in 0..300u64 {
+            for i in 0..6u64 {
+                f.insert_row(key, &[1000 + i, key % 5]).unwrap();
+            }
+        }
+        for key in (0..300u64).step_by(2) {
+            assert_eq!(f.delete_row(key, &[1000, key % 5]), Ok(true));
+        }
+        assert!(f.growth_bits() >= 2, "the test must cover grown tables");
+        let heap = f.occupancy().heap_bytes;
+        assert_eq!(heap, f.table.heap_bytes());
+        assert!(
+            heap >= f.capacity() * 6,
+            "{heap} B for {} slots",
+            f.capacity()
+        );
+        // The derived filter shares the fingerprints and adds one bit per slot.
+        assert!(f.predicate_filter(&Predicate::any(2)).size_bits() < f.size_bits());
     }
 }

@@ -53,6 +53,18 @@
 //! # Ok::<(), CcfError>(())
 //! ```
 //!
+//! # Storage
+//!
+//! All four variants store their entries in one flat entry table: the key
+//! fingerprints of all `m · b` slots in one bit-packed `ccf_cuckoo::PackedBuckets`
+//! (so key-only probes compare a whole bucket in one 64-bit word), and each slot's
+//! attribute sketch at a fixed stride in one `u16` payload slab indexed by slot —
+//! the attribute fingerprint vector (plain, chained), the Bloom sketch bits (Bloom),
+//! or a tag plus the vector or a handle into a sketch arena (mixed). No entry owns
+//! a heap allocation, so `occupancy().heap_bytes` is the allocated capacity of a
+//! few flat buffers. The table also owns the kick/rollback loop, the
+//! split-geometry growth and the per-bucket snapshot codec the variants share.
+//!
 //! # Module map
 //!
 //! * [`key`] — the [`FilterKey`] trait: typed keys and their lowering to the salted
@@ -78,6 +90,7 @@ pub mod bloom_ccf;
 pub mod builder;
 pub mod chained;
 pub mod compress;
+mod entry_table;
 pub mod error;
 pub mod fpr;
 pub mod instruments;

@@ -11,69 +11,54 @@
 //! key) while retaining fingerprint-vector accuracy for the vast majority of keys that
 //! have few duplicates.
 //!
-//! In-memory representation: the converted group is a `BloomHead` entry plus `d − 1`
-//! `Continuation` entries occupying the same slots the fingerprint vectors held (the
-//! paper packs the Bloom's bits across those entries; we keep the logical layout and
-//! account for the same number of bits). Cuckoo kicks may relocate any slot — a kick
-//! only ever moves an entry to the other bucket of its own pair, so a group's head and
-//! continuation slots merely redistribute across the pair, which is the "maintaining
-//! [the Bloom filter] whenever a bucket's entry is kicked into the alternate bucket"
-//! bookkeeping §6.1 describes.
+//! In-memory representation: every slot lives in the shared entry table; its payload
+//! is a tag word, then either the row's attribute fingerprints (a vector slot), the
+//! handle of the group's sketch record (the head of a converted group), or nothing (a
+//! continuation slot). A converted group is one head and `d − 1` continuations in the
+//! slots the fingerprint vectors held; the sketch record itself sits at a fixed stride
+//! in a per-filter arena (the paper packs the Bloom's bits across the group's entries;
+//! we keep the logical layout and account for the same number of bits). Cuckoo kicks
+//! may relocate any slot — a kick only ever moves an entry to the other bucket of its
+//! own pair, so a group's head and continuation slots merely redistribute across the
+//! pair, which is the "maintaining [the Bloom filter] whenever a bucket's entry is
+//! kicked into the alternate bucket" bookkeeping §6.1 describes.
 
-use ccf_bloom::TinyBloom;
-use ccf_cuckoo::geometry::{
-    grow_and_retry, prefetch_index, probe_chunked, split_buckets, SplitGeometry,
-};
+use ccf_cuckoo::geometry::{grow_and_retry, probe_chunked};
 use ccf_cuckoo::CuckooFilter;
 use ccf_cuckoo::{GrowthStats, OccupancyStats};
-use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily};
+use ccf_hash::{AttrFingerprinter, HashFamily};
 use ccf_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::attr::{match_fingerprint_bloom, match_fingerprint_vector};
+use crate::attr::{
+    fingerprint_into, match_fingerprint_bloom, match_fingerprint_vector, SketchFormat,
+};
+use crate::entry_table::{read_rng, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
 use crate::outcome::{DeleteFailure, InsertFailure, InsertOutcome};
 use crate::params::{CcfParams, ParamsError};
 use crate::predicate::Predicate;
 
-/// One slot of a mixed CCF.
-#[derive(Debug, Clone)]
-enum Entry {
-    /// A fingerprint-vector entry for a single row.
-    Vector { fp: u16, attrs: Vec<u16> },
-    /// Head of a converted group: holds the Bloom sketch for every row of this
-    /// fingerprint in the bucket pair.
-    BloomHead { fp: u16, sketch: TinyBloom },
-    /// A continuation slot of a converted group (its bits belong to the head's Bloom
-    /// filter).
-    Continuation { fp: u16 },
-}
-
-impl Entry {
-    fn fp(&self) -> u16 {
-        match self {
-            Entry::Vector { fp, .. } | Entry::BloomHead { fp, .. } | Entry::Continuation { fp } => {
-                *fp
-            }
-        }
-    }
-}
+/// Payload tag (word 0) of a fingerprint-vector slot: words `1..=num_attrs` hold the
+/// row's attribute fingerprints. The tags double as the snapshot's entry tags.
+const VECTOR: u16 = 0;
+/// Payload tag of a converted group's head: words 1 and 2 hold its sketch handle.
+const HEAD: u16 = 1;
+/// Payload tag of a converted group's continuation slot (its bits belong to the head's
+/// sketch).
+const CONTINUATION: u16 = 2;
 
 /// Conditional cuckoo filter with Bloom conversion for heavily duplicated keys.
 #[derive(Debug, Clone)]
 pub struct MixedCcf {
-    buckets: Vec<Vec<Entry>>,
-    geometry: SplitGeometry,
+    table: EntryTable,
     params: CcfParams,
-    fingerprinter: Fingerprinter,
     attr_fp: AttrFingerprinter,
-    bloom_family: HashFamily,
-    conversion_hashes: usize,
+    sketch: SketchFormat,
+    /// The converted groups' sketch records, `sketch.words()` words each; a head
+    /// slot's handle indexes them.
+    sketches: Vec<u16>,
     key_lower: ccf_hash::SaltedHasher,
-    rng: StdRng,
-    occupied: usize,
     rows_absorbed: usize,
     conversions: usize,
     instruments: CcfInstruments,
@@ -106,16 +91,18 @@ impl MixedCcf {
             params.max_dupes,
             params.num_attrs,
         );
+        // The tag word, then room for the attribute fingerprints or a 32-bit handle.
+        let stride = 1 + params.num_attrs.max(2);
         Ok(Self {
-            buckets: vec![Vec::new(); params.num_buckets],
-            geometry: SplitGeometry::new(&family, params.num_buckets, 0),
-            fingerprinter: Fingerprinter::new(&family, params.fingerprint_bits),
+            table: EntryTable::new(&family, &params, stride, params.seed ^ 0x30D),
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
-            bloom_family: family.subfamily(13),
-            conversion_hashes,
+            sketch: SketchFormat::new(
+                params.conversion_bloom_bits(),
+                conversion_hashes,
+                &family.subfamily(13),
+            ),
+            sketches: Vec::new(),
             key_lower: family.hasher(ccf_hash::salted::purpose::KEY_LOWER),
-            rng: StdRng::seed_from_u64(params.seed ^ 0x30D),
-            occupied: 0,
             rows_absorbed: 0,
             conversions: 0,
             instruments: CcfInstruments::disabled(),
@@ -127,36 +114,23 @@ impl MixedCcf {
     /// RNG words, the conversion counter, and every bucket's entries — vector rows,
     /// Bloom-head sketches (raw bits) and continuation slots, each tagged.
     pub(crate) fn snapshot_payload(&self, w: &mut ccf_cuckoo::ByteWriter) {
-        w.put_u32(self.geometry.growth_bits());
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        w.put_u32(self.growth_bits());
+        self.table.write_rng(w);
         w.put_usize(self.rows_absorbed);
         w.put_usize(self.conversions);
-        for bucket in &self.buckets {
-            w.put_u16(u16::try_from(bucket.len()).expect("bucket wider than u16"));
-            for entry in bucket {
-                match entry {
-                    Entry::Vector { fp, attrs } => {
-                        w.put_u8(0);
-                        w.put_u16(*fp);
-                        for &a in attrs {
-                            w.put_u16(a);
-                        }
-                    }
-                    Entry::BloomHead { fp, sketch } => {
-                        w.put_u8(1);
-                        w.put_u16(*fp);
-                        w.put_usize(sketch.pairs_inserted());
-                        w.put_len_bytes(&sketch.to_bits().to_bytes());
-                    }
-                    Entry::Continuation { fp } => {
-                        w.put_u8(2);
-                        w.put_u16(*fp);
+        self.table.write_buckets(w, |w, fp, payload| {
+            w.put_u8(payload[0] as u8);
+            w.put_u16(fp);
+            match payload[0] {
+                VECTOR => {
+                    for &a in self.attrs(payload) {
+                        w.put_u16(a);
                     }
                 }
+                HEAD => self.sketch.write(w, self.record(payload)),
+                _ => {}
             }
-        }
+        });
     }
 
     /// Inverse of [`MixedCcf::snapshot_payload`]; see
@@ -169,81 +143,36 @@ impl MixedCcf {
     ) -> Result<Self, ccf_cuckoo::SnapshotError> {
         use ccf_cuckoo::SnapshotError;
         let growth_bits = r.get_u32()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
+        let rng = read_rng(r)?;
         let rows_absorbed = r.get_usize()?;
         let conversions = r.get_usize()?;
-        let base = crate::snapshot::split_growth(params.num_buckets, growth_bits)?;
-        let mut f = Self::try_new(CcfParams {
-            num_buckets: base,
-            ..params
-        })
-        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        if growth_bits > 0 {
-            let family = HashFamily::new(params.seed);
-            f.geometry = SplitGeometry::new(&family, base, growth_bits);
-            f.buckets = vec![Vec::new(); params.num_buckets];
-            f.params.num_buckets = params.num_buckets;
-        }
-        let sketch_bits = params.conversion_bloom_bits();
-        let sketch_bytes = sketch_bits.div_ceil(8);
-        let mut occupied = 0usize;
-        for bucket in &mut f.buckets {
-            let len = usize::from(r.get_u16()?);
-            if len > params.entries_per_bucket {
-                return Err(SnapshotError::Invalid(format!(
-                    "bucket holds {len} entries but b = {}",
-                    params.entries_per_bucket
-                )));
-            }
-            bucket.reserve_exact(len);
-            for _ in 0..len {
-                let tag = r.get_u8()?;
-                let fp = r.get_u16()?;
-                if fp == 0 {
-                    return Err(SnapshotError::Invalid("stored fingerprint is zero".into()));
+        let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
+        let (sketch, sketches) = (&f.sketch, &mut f.sketches);
+        let attrs = 1..1 + params.num_attrs;
+        f.table.restore(growth_bits, rng, r, |r, payload| {
+            let tag = r.get_u8()?;
+            let fp = r.get_u16()?;
+            payload[0] = u16::from(tag);
+            match u16::from(tag) {
+                VECTOR => {
+                    for a in &mut payload[attrs.clone()] {
+                        *a = r.get_u16()?;
+                    }
                 }
-                let entry = match tag {
-                    0 => {
-                        let mut attrs = Vec::with_capacity(params.num_attrs);
-                        for _ in 0..params.num_attrs {
-                            attrs.push(r.get_u16()?);
-                        }
-                        Entry::Vector { fp, attrs }
-                    }
-                    1 => {
-                        let pairs_inserted = r.get_usize()?;
-                        let bits = r.get_len_bytes()?;
-                        if bits.len() != sketch_bytes {
-                            return Err(SnapshotError::Invalid(format!(
-                                "conversion sketch image is {} bytes; budget of \
-                                 {sketch_bits} bits needs {sketch_bytes}",
-                                bits.len()
-                            )));
-                        }
-                        let sketch = TinyBloom::from_bits(
-                            ccf_bloom::BitVec::from_bytes(bits, sketch_bits),
-                            f.conversion_hashes,
-                            &f.bloom_family,
-                            pairs_inserted,
-                        );
-                        Entry::BloomHead { fp, sketch }
-                    }
-                    2 => Entry::Continuation { fp },
-                    t => {
-                        return Err(SnapshotError::Invalid(format!("unknown entry tag {t}")));
-                    }
-                };
-                bucket.push(entry);
+                HEAD => {
+                    set_handle(payload, sketches.len() / sketch.words());
+                    sketches.resize(sketches.len() + sketch.words(), 0);
+                    let at = sketches.len() - sketch.words();
+                    sketch.read(r, &mut sketches[at..])?;
+                }
+                CONTINUATION => {}
+                t => return Err(SnapshotError::Invalid(format!("unknown entry tag {t}"))),
             }
-            occupied += len;
-        }
-        f.occupied = occupied;
+            Ok(fp)
+        })?;
+        f.params.num_buckets = params.num_buckets;
         f.rows_absorbed = rows_absorbed;
         f.conversions = conversions;
-        f.rng = StdRng::from_state(rng_state);
         Ok(f)
     }
 
@@ -272,7 +201,7 @@ impl MixedCcf {
 
     /// Number of occupied entry slots (continuation slots count — they hold Bloom bits).
     pub fn occupied_entries(&self) -> usize {
-        self.occupied
+        self.table.occupied()
     }
 
     /// Number of rows absorbed.
@@ -287,12 +216,12 @@ impl MixedCcf {
 
     /// Total entry slots `m · b`.
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * self.params.entries_per_bucket
+        self.table.capacity()
     }
 
     /// Load factor β.
     pub fn load_factor(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
+        self.table.load_factor()
     }
 
     /// Serialized size in bits: every slot carries |κ| + #α·|α| + 1 bits (the extra bit
@@ -308,79 +237,48 @@ impl MixedCcf {
 
     /// Number of capacity doublings applied so far.
     pub fn growth_bits(&self) -> u32 {
-        self.geometry.growth_bits()
+        self.table.geometry().growth_bits()
     }
 
-    /// Per-bucket occupancy summary, including the actual heap footprint of the
-    /// bucket storage (spine, per-bucket entry arrays, and per-entry payloads:
-    /// attribute vectors for vector slots, Bloom sketches for converted heads).
+    /// Per-bucket occupancy summary, including the allocated heap bytes of the entry
+    /// table and of the sketch arena.
     pub fn occupancy(&self) -> OccupancyStats {
-        let heap = std::mem::size_of_val(self.buckets.as_slice())
-            + self
-                .buckets
-                .iter()
-                .map(|b| {
-                    std::mem::size_of_val(b.as_slice())
-                        + b.iter()
-                            .map(|e| match e {
-                                Entry::Vector { attrs, .. } => {
-                                    std::mem::size_of_val(attrs.as_slice())
-                                }
-                                Entry::BloomHead { sketch, .. } => sketch.heap_bytes(),
-                                Entry::Continuation { .. } => 0,
-                            })
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-        OccupancyStats::from_counts(
-            self.buckets.iter().map(Vec::len),
-            self.params.entries_per_bucket,
-        )
-        .with_heap_bytes(heap)
+        let occ = self.table.occupancy();
+        occ.with_heap_bytes(occ.heap_bytes + self.sketches.capacity() * std::mem::size_of::<u16>())
     }
 
     /// Resize-history summary.
     pub fn growth_stats(&self) -> GrowthStats {
-        GrowthStats {
-            base_buckets: self.geometry.base_buckets(),
-            current_buckets: self.buckets.len(),
-            growth_bits: self.geometry.growth_bits(),
-        }
+        self.table.growth_stats()
     }
 
-    /// The alternate bucket ℓ′ = ℓ ⊕ h(κ), with the xor confined to the base-geometry
-    /// bits so a pair always shares its growth bits.
-    #[inline]
-    fn alt_bucket(&self, bucket: usize, fp: u16) -> usize {
-        self.geometry.alt_bucket(bucket, fp)
+    /// A vector slot's attribute fingerprints.
+    fn attrs<'a>(&self, payload: &'a [u16]) -> &'a [u16] {
+        &payload[1..1 + self.params.num_attrs]
     }
 
-    fn pair_of(&self, key: u64) -> (u16, usize, usize) {
-        let (fp, base) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.geometry.base_buckets());
-        let l = self.geometry.home_bucket(base, fp);
-        let alt = self.geometry.alt_bucket(l, fp);
-        (fp, l, alt)
+    /// A head slot's sketch record.
+    fn record(&self, payload: &[u16]) -> &[u16] {
+        let at = handle(payload) * self.sketch.words();
+        &self.sketches[at..at + self.sketch.words()]
     }
 
-    fn fingerprint_row(&self, attrs: &[u64]) -> Vec<u16> {
-        self.attr_fp.fingerprint_vector(attrs)
+    /// Stage a vector entry for `attrs`.
+    fn stage_vector(&mut self, attrs: &[u64]) {
+        let staged = self.table.staged_mut();
+        staged.fill(0);
+        staged[0] = VECTOR;
+        fingerprint_into(&self.attr_fp, attrs, &mut staged[1..]);
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints
-    /// alone ([`ccf_cuckoo::geometry::split_buckets`]). A converted group's head and
-    /// continuation slots all carry the same κ, so they share a growth bit and migrate
-    /// to the same bucket pair together; the remap cannot fail and preserves every
-    /// query answer.
+    /// alone. A converted group's head and continuation slots all carry the same κ, so
+    /// they share a growth bit and migrate to the same bucket pair together; the remap
+    /// cannot fail and preserves every query answer.
     pub fn grow(&mut self) {
         self.instruments.grows.inc();
-        let old_m = self.buckets.len();
-        let bit = self.geometry.growth_bits();
-        self.buckets.resize_with(old_m * 2, Vec::new);
-        split_buckets(&self.geometry, &mut self.buckets, old_m, bit, |e| e.fp());
-        self.geometry.record_doubling();
-        self.params.num_buckets = self.buckets.len();
+        self.table.grow();
+        self.params.num_buckets = self.table.num_buckets();
     }
 
     /// Insert a row. Outcomes: `Inserted` (new vector entry), `Deduplicated` (identical
@@ -420,121 +318,88 @@ impl MixedCcf {
     }
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
-        let (fp, l, l_alt) = self.pair_of(key);
-        let alpha = self.fingerprint_row(attrs);
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        self.stage_vector(attrs);
         self.rows_absorbed += 1;
-        let d = self.params.max_dupes;
-        let b = self.params.entries_per_bucket;
-        let pair: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
 
-        // 1. Existing converted group for this fingerprint → merge.
-        for &bkt in pair {
-            if let Some(Entry::BloomHead { sketch, .. }) = self.buckets[bkt]
-                .iter_mut()
-                .find(|e| e.fp() == fp && matches!(e, Entry::BloomHead { .. }))
-            {
-                for (col, &afp) in alpha.iter().enumerate() {
-                    sketch.insert_pair(col, u64::from(afp));
+        let t = &self.table;
+        let (mut head, mut duplicate, mut vectors) = (None, false, 0);
+        for (b, s) in t.pair_slots(fp, l, l_alt) {
+            let payload = t.payload(b, s);
+            match payload[0] {
+                HEAD => head = head.or(Some(handle(payload))),
+                VECTOR => {
+                    duplicate |= self.attrs(payload) == self.attrs(t.staged());
+                    vectors += 1;
                 }
-                return Ok(InsertOutcome::Merged);
+                _ => {}
             }
         }
-
+        // 1. Existing converted group for this fingerprint → merge.
+        if let Some(handle) = head {
+            let at = handle * self.sketch.words();
+            let record = &mut self.sketches[at..at + self.sketch.words()];
+            for (col, &afp) in self.table.staged()[1..1 + self.params.num_attrs]
+                .iter()
+                .enumerate()
+            {
+                self.sketch.insert_pair(record, col, u64::from(afp));
+            }
+            return Ok(InsertOutcome::Merged);
+        }
         // 2. Exact duplicate vector entry → dedupe.
-        for &bkt in pair {
-            if self.buckets[bkt].iter().any(
-                |e| matches!(e, Entry::Vector { fp: efp, attrs } if *efp == fp && *attrs == alpha),
-            ) {
-                return Ok(InsertOutcome::Deduplicated);
-            }
+        if duplicate {
+            return Ok(InsertOutcome::Deduplicated);
         }
-
         // 3. Pair already holds d vector copies of κ → convert them plus this row.
-        let vector_copies: usize = pair
-            .iter()
-            .map(|&bkt| {
-                self.buckets[bkt]
-                    .iter()
-                    .filter(|e| e.fp() == fp && matches!(e, Entry::Vector { .. }))
-                    .count()
-            })
-            .sum();
-        if vector_copies >= d {
-            self.convert(fp, l, l_alt, &alpha);
+        if vectors >= self.params.max_dupes {
+            self.convert(fp, l, l_alt);
             return Ok(InsertOutcome::Converted);
         }
-
-        // 4. Plain vector insertion with kicks (movable entries only).
-        let entry = Entry::Vector { fp, attrs: alpha };
-        if self.buckets[l].len() < b {
-            self.buckets[l].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
+        // 4. Plain vector insertion with kicks. Any entry may be kicked: a kick only
+        // ever moves an entry to the other bucket of its own pair, so a converted
+        // group's head and continuation slots simply redistribute across the pair —
+        // exactly the packing freedom the paper's bit layout assumes.
+        let placed = self.table.place_staged(
+            fp,
+            (l, l_alt),
+            KickRule::CoinTestBefore,
+            self.params.max_kicks,
+            &self.instruments,
+        );
+        if placed.is_err() {
+            self.rows_absorbed -= 1;
         }
-        if self.buckets[l_alt].len() < b {
-            self.buckets[l_alt].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
-        }
-        let mut carried = entry;
-        let mut bucket = if self.rng.gen_bool(0.5) { l } else { l_alt };
-        let mut swaps: Vec<(usize, usize)> = Vec::new();
-        for _ in 0..self.params.max_kicks {
-            if self.buckets[bucket].len() < b {
-                self.buckets[bucket].push(carried);
-                self.occupied += 1;
-                self.instruments.kick_depth.observe(swaps.len() as u64);
-                return Ok(InsertOutcome::Inserted);
-            }
-            // Any entry may be kicked: a kick only ever moves an entry to the other
-            // bucket of its own pair, so a converted group's head and continuation
-            // slots simply redistribute across the pair — exactly the packing freedom
-            // the paper's bit layout assumes.
-            let slot = self.rng.gen_range(0..b);
-            std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-            swaps.push((bucket, slot));
-            bucket = self.alt_bucket(bucket, carried.fp());
-        }
-        self.instruments.kick_depth.observe(swaps.len() as u64);
-        self.instruments.rollbacks.inc();
-        for (bkt, slot) in swaps.into_iter().rev() {
-            std::mem::swap(&mut self.buckets[bkt][slot], &mut carried);
-        }
-        self.rows_absorbed -= 1;
-        Err(InsertFailure::kicks_exhausted_at(self.load_factor()))
+        placed
     }
 
-    /// Algorithm 3: replace the `d` vector entries for `fp` in the pair (and the new
+    /// Algorithm 3: replace the `d` vector entries for `fp` in the pair (and the staged
     /// row's fingerprints) with a single Bloom group occupying the same slots.
-    fn convert(&mut self, fp: u16, l: usize, l_alt: usize, new_alpha: &[u16]) {
-        let mut sketch = TinyBloom::new(
-            self.params.conversion_bloom_bits(),
-            self.conversion_hashes,
-            &self.bloom_family,
-        );
-        for (col, &afp) in new_alpha.iter().enumerate() {
-            sketch.insert_pair(col, u64::from(afp));
+    fn convert(&mut self, fp: u16, l: usize, l_alt: usize) {
+        let words = self.sketch.words();
+        let handle = self.sketches.len() / words;
+        self.sketches.resize(self.sketches.len() + words, 0);
+        let record = &mut self.sketches[handle * words..];
+        let n = self.params.num_attrs;
+        for (col, &afp) in self.table.staged()[1..1 + n].iter().enumerate() {
+            self.sketch.insert_pair(record, col, u64::from(afp));
         }
-        // Collect and remove the existing vector entries for this fingerprint,
-        // remembering which bucket each slot came from so the group reoccupies them.
+        // Remove the existing vector entries for this fingerprint, remembering which
+        // bucket each slot came from so the group reoccupies them.
         let mut freed: Vec<usize> = Vec::new();
-        let pair: Vec<usize> = if l == l_alt { vec![l] } else { vec![l, l_alt] };
-        for &bkt in &pair {
-            let mut i = 0;
-            while i < self.buckets[bkt].len() {
-                let matches = matches!(&self.buckets[bkt][i],
-                    Entry::Vector { fp: efp, .. } if *efp == fp);
-                if matches {
-                    if let Entry::Vector { attrs, .. } = self.buckets[bkt].swap_remove(i) {
-                        for (col, afp) in attrs.into_iter().enumerate() {
-                            sketch.insert_pair(col, u64::from(afp));
-                        }
-                        freed.push(bkt);
+        let buckets = if l == l_alt { 1 } else { 2 };
+        for bucket in [l, l_alt].into_iter().take(buckets) {
+            let mut slot = 0;
+            while slot < self.table.len(bucket) {
+                let payload = self.table.payload(bucket, slot);
+                if self.table.fp(bucket, slot) == fp && payload[0] == VECTOR {
+                    for (col, &afp) in payload[1..1 + n].iter().enumerate() {
+                        self.sketch.insert_pair(record, col, u64::from(afp));
                     }
+                    self.table.swap_remove(bucket, slot);
+                    freed.push(bucket);
                 } else {
-                    i += 1;
+                    slot += 1;
                 }
             }
         }
@@ -543,9 +408,12 @@ impl MixedCcf {
             "conversion triggered without vector copies"
         );
         // Re-occupy the freed slots: head first, continuations after.
-        self.buckets[freed[0]].push(Entry::BloomHead { fp, sketch });
-        for &bkt in freed.iter().skip(1) {
-            self.buckets[bkt].push(Entry::Continuation { fp });
+        for (i, &bucket) in freed.iter().enumerate() {
+            let staged = self.table.staged_mut();
+            staged[0] = if i == 0 { HEAD } else { CONTINUATION };
+            set_handle(staged, handle);
+            let placed = self.table.push_staged(bucket, fp);
+            debug_assert!(placed, "a freed slot takes the group back");
         }
         // Occupancy is unchanged: the group holds exactly the slots it freed.
         self.conversions += 1;
@@ -577,9 +445,8 @@ impl MixedCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                let alpha = self.fingerprint_row(attrs);
-                let (fp, l, l_alt) = self.pair_of(key);
-                self.remove_vector_entry(fp, l, l_alt, |attrs| *attrs == alpha)
+                self.stage_vector(attrs);
+                self.remove_vector_entry(key, true)
             }
             Err(e) => Err(e),
         };
@@ -597,43 +464,33 @@ impl MixedCcf {
 
     /// [`MixedCcf::delete_key`] on already-lowered key material.
     pub fn delete_key_prehashed(&mut self, key: u64) -> Result<bool, DeleteFailure> {
-        let (fp, l, l_alt) = self.pair_of(key);
-        let result = self.remove_vector_entry(fp, l, l_alt, |_| true);
+        let result = self.remove_vector_entry(key, false);
         self.instruments.record_delete(&result);
         result
     }
 
-    /// Remove one vector entry for `fp` whose attribute fingerprints satisfy
-    /// `matches`, refusing if the fingerprint's rows live in a converted group.
-    fn remove_vector_entry(
-        &mut self,
-        fp: u16,
-        l: usize,
-        l_alt: usize,
-        matches: impl Fn(&Vec<u16>) -> bool,
-    ) -> Result<bool, DeleteFailure> {
-        let pair: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
+    /// Remove one vector entry for the key's fingerprint whose attribute fingerprints
+    /// match the staged row (any, without `by_row`), refusing if the fingerprint's
+    /// rows live in a converted group.
+    fn remove_vector_entry(&mut self, key: u64, by_row: bool) -> Result<bool, DeleteFailure> {
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        let t = &self.table;
         // A converted group owns *all* of this fingerprint's rows in the pair, so its
         // presence makes any deletion for the fingerprint unanswerable.
-        for &bkt in pair {
-            if self.buckets[bkt]
-                .iter()
-                .any(|e| e.fp() == fp && !matches!(e, Entry::Vector { .. }))
-            {
-                return Err(DeleteFailure::ConvertedGroup);
-            }
+        if t.pair_slots(fp, l, l_alt)
+            .any(|(b, s)| t.payload(b, s)[0] != VECTOR)
+        {
+            return Err(DeleteFailure::ConvertedGroup);
         }
-        for &bkt in pair {
-            if let Some(pos) = self.buckets[bkt].iter().position(
-                |e| matches!(e, Entry::Vector { fp: efp, attrs } if *efp == fp && matches(attrs)),
-            ) {
-                self.buckets[bkt].swap_remove(pos);
-                self.occupied -= 1;
-                self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let hit = t
+            .pair_slots(fp, l, l_alt)
+            .find(|&(b, s)| !by_row || self.attrs(t.payload(b, s)) == self.attrs(t.staged()));
+        let Some((bucket, slot)) = hit else {
+            return Ok(false);
+        };
+        self.table.swap_remove(bucket, slot);
+        self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
+        Ok(true)
     }
 
     /// Batched row deletion: equivalent to calling [`MixedCcf::delete_row`] per row in
@@ -682,25 +539,28 @@ impl MixedCcf {
 
     /// [`MixedCcf::query`] on already-lowered key material.
     pub fn query_prehashed(&self, key: u64, pred: &Predicate) -> bool {
-        let (fp, l, l_alt) = self.pair_of(key);
+        let (fp, l, l_alt) = self.table.pair_of(key);
         let hit = self.query_pair(fp, l, l_alt, pred);
         self.instruments.record_query(hit);
         hit
     }
 
     fn query_pair(&self, fp: u16, l: usize, l_alt: usize, pred: &Predicate) -> bool {
-        let pair: &[usize] = if l == l_alt { &[l] } else { &[l, l_alt] };
-        pair.iter().any(|&bkt| {
-            self.buckets[bkt].iter().any(|e| match e {
-                Entry::Vector { fp: efp, attrs } => {
-                    *efp == fp && match_fingerprint_vector(pred, attrs, &self.attr_fp)
-                }
-                Entry::BloomHead { fp: efp, sketch } => {
-                    *efp == fp && match_fingerprint_bloom(pred, sketch, &self.attr_fp)
-                }
-                Entry::Continuation { .. } => false,
-            })
-        })
+        self.table
+            .pair_slots(fp, l, l_alt)
+            .any(|(b, s)| self.matches(self.table.payload(b, s), pred))
+    }
+
+    /// Whether a slot's payload may hold a row matching `pred` (continuation slots
+    /// never answer; their group's head does).
+    fn matches(&self, payload: &[u16], pred: &Predicate) -> bool {
+        match payload[0] {
+            VECTOR => match_fingerprint_vector(pred, self.attrs(payload), &self.attr_fp),
+            HEAD => {
+                match_fingerprint_bloom(pred, &self.sketch, self.record(payload), &self.attr_fp)
+            }
+            _ => false,
+        }
     }
 
     /// Batched predicate query: bit-identical to calling [`MixedCcf::query`] per key,
@@ -714,8 +574,8 @@ impl MixedCcf {
     pub fn query_batch_prehashed(&self, keys: &[u64], pred: &Predicate) -> Vec<bool> {
         let hits = probe_chunked(
             keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
+            |key| self.table.pair_of(key),
+            |bucket| self.table.prefetch(bucket),
             |fp, l, l_alt| self.query_pair(fp, l, l_alt, pred),
         );
         self.instruments.record_query_batch(&hits);
@@ -729,9 +589,8 @@ impl MixedCcf {
 
     /// [`MixedCcf::contains_key`] on already-lowered key material.
     pub fn contains_key_prehashed(&self, key: u64) -> bool {
-        let (fp, l, l_alt) = self.pair_of(key);
-        self.buckets[l].iter().any(|e| e.fp() == fp)
-            || self.buckets[l_alt].iter().any(|e| e.fp() == fp)
+        let (fp, l, l_alt) = self.table.pair_of(key);
+        self.table.contains(fp, l, l_alt)
     }
 
     /// Batched key-only membership query (see [`MixedCcf::query_batch`]).
@@ -741,15 +600,7 @@ impl MixedCcf {
 
     /// [`MixedCcf::contains_key_batch`] on already-lowered key material.
     pub fn contains_key_batch_prehashed(&self, keys: &[u64]) -> Vec<bool> {
-        probe_chunked(
-            keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
-            |fp, l, l_alt| {
-                self.buckets[l].iter().any(|e| e.fp() == fp)
-                    || self.buckets[l_alt].iter().any(|e| e.fp() == fp)
-            },
-        )
+        self.table.contains_batch(keys)
     }
 
     /// Predicate-only query: erase entries that cannot match and return the surviving
@@ -759,11 +610,12 @@ impl MixedCcf {
         // The derived filter must share this filter's *split* geometry — after any
         // growth, bucket indices carry fingerprint-derived high bits that a filter
         // constructed flat at the current size would not reproduce.
+        let t = &self.table;
         let mut out = CuckooFilter::with_split_geometry(
-            self.geometry.base_buckets(),
-            self.geometry.growth_bits(),
+            t.geometry().base_buckets(),
+            t.geometry().growth_bits(),
             ccf_cuckoo::CuckooFilterParams {
-                num_buckets: self.geometry.base_buckets(),
+                num_buckets: t.geometry().base_buckets(),
                 entries_per_bucket: self.params.entries_per_bucket,
                 fingerprint_bits: self.params.fingerprint_bits,
                 seed: self.params.seed,
@@ -772,25 +624,26 @@ impl MixedCcf {
                 ..Default::default()
             },
         );
-        for (bucket_idx, bucket) in self.buckets.iter().enumerate() {
-            for e in bucket {
-                let keep = match e {
-                    Entry::Vector { attrs, .. } => {
-                        match_fingerprint_vector(pred, attrs, &self.attr_fp)
-                    }
-                    Entry::BloomHead { sketch, .. } => {
-                        match_fingerprint_bloom(pred, sketch, &self.attr_fp)
-                    }
-                    Entry::Continuation { .. } => false,
-                };
-                if keep {
-                    out.insert_fingerprint(e.fp(), bucket_idx)
+        for bucket in 0..t.num_buckets() {
+            for slot in 0..t.len(bucket) {
+                if self.matches(t.payload(bucket, slot), pred) {
+                    out.insert_fingerprint(t.fp(bucket, slot), bucket)
                         .expect("derived filter has identical geometry, insertion cannot fail");
                 }
             }
         }
         out
     }
+}
+
+/// A head slot's sketch handle (words 1 and 2).
+fn handle(payload: &[u16]) -> usize {
+    usize::from(payload[1]) | usize::from(payload[2]) << 16
+}
+
+fn set_handle(payload: &mut [u16], handle: usize) {
+    payload[1] = handle as u16;
+    payload[2] = (handle >> 16) as u16;
 }
 
 #[cfg(test)]
@@ -1136,5 +989,31 @@ mod tests {
             "mixed CCF load factor at first failure only {}",
             f.load_factor()
         );
+    }
+
+    #[test]
+    fn heap_bytes_are_the_table_and_arena_capacity() {
+        let mut f = MixedCcf::new(
+            CcfParams {
+                num_buckets: 1 << 6,
+                ..params(24)
+            }
+            .with_auto_grow(),
+        );
+        for key in 0..400u64 {
+            let rows = if key % 5 == 0 { 9 } else { 2 };
+            for i in 0..rows {
+                f.insert_row(key, &[500 + i, 700 + (i % 3)]).unwrap();
+            }
+        }
+        for key in (1..400u64).step_by(5) {
+            assert_eq!(f.delete_row(key, &[500, 700]), Ok(true));
+        }
+        assert!(f.growth_bits() >= 1 && f.conversions() >= 80);
+        assert_eq!(
+            f.occupancy().heap_bytes,
+            f.table.heap_bytes() + 2 * f.sketches.capacity()
+        );
+        assert!(f.sketches.capacity() >= f.conversions() * f.sketch.words());
     }
 }

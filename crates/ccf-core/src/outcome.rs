@@ -54,8 +54,7 @@ pub enum InsertFailure {
 impl InsertFailure {
     /// [`InsertFailure::KicksExhausted`] at the given load factor, rounded (not
     /// floored) to thousandths. Every variant constructs its kick failure through
-    /// here, so the reported granularity cannot drift between variants — the same
-    /// fix [`ccf_cuckoo::chained_table::TableFull::at`] applies on the table side.
+    /// here, so the reported granularity cannot drift between variants.
     pub fn kicks_exhausted_at(load_factor: f64) -> Self {
         Self::KicksExhausted {
             load_factor_millis: (load_factor * 1000.0).round() as u32,

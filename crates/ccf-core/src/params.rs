@@ -19,6 +19,12 @@ pub enum ParamsError {
     ZeroBuckets,
     /// `entries_per_bucket == 0`.
     ZeroEntriesPerBucket,
+    /// `entries_per_bucket` above 255: the entry table counts a bucket's entries in
+    /// one byte.
+    BucketTooWide {
+        /// The rejected entries per bucket b.
+        entries_per_bucket: usize,
+    },
     /// Key fingerprint width |κ| outside `1..=16`.
     FingerprintBitsOutOfRange {
         /// The rejected width.
@@ -86,6 +92,10 @@ impl std::fmt::Display for ParamsError {
             ParamsError::ZeroEntriesPerBucket => {
                 write!(f, "entries_per_bucket must be positive")
             }
+            ParamsError::BucketTooWide { entries_per_bucket } => write!(
+                f,
+                "entries_per_bucket must be at most 255, got {entries_per_bucket}"
+            ),
             ParamsError::FingerprintBitsOutOfRange { got } => {
                 write!(f, "fingerprint_bits must be 1..=16, got {got}")
             }
@@ -329,6 +339,11 @@ impl CcfParams {
         if self.entries_per_bucket == 0 {
             return Err(ParamsError::ZeroEntriesPerBucket);
         }
+        if self.entries_per_bucket > usize::from(u8::MAX) {
+            return Err(ParamsError::BucketTooWide {
+                entries_per_bucket: self.entries_per_bucket,
+            });
+        }
         if !(1..=16).contains(&self.fingerprint_bits) {
             return Err(ParamsError::FingerprintBitsOutOfRange {
                 got: self.fingerprint_bits,
@@ -512,6 +527,15 @@ mod tests {
                     ..ok
                 },
                 ParamsError::ZeroEntriesPerBucket,
+            ),
+            (
+                CcfParams {
+                    entries_per_bucket: 256,
+                    ..ok
+                },
+                ParamsError::BucketTooWide {
+                    entries_per_bucket: 256,
+                },
             ),
             (
                 CcfParams {

@@ -9,41 +9,28 @@
 //! factor at first failure collapsing as duplication grows. The variant exists so those
 //! comparisons can be reproduced.
 
-use ccf_cuckoo::geometry::{
-    grow_and_retry, prefetch_index, probe_chunked, split_buckets, SplitGeometry,
-};
+use ccf_cuckoo::geometry::{grow_and_retry, probe_chunked};
 use ccf_cuckoo::{GrowthStats, OccupancyStats};
 use ccf_hash::salted::purpose;
-use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily, SaltedHasher};
+use ccf_hash::{AttrFingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::attr::match_fingerprint_vector;
+use crate::attr::{fingerprint_into, match_fingerprint_vector};
+use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
 use crate::outcome::{DeleteFailure, InsertFailure, InsertOutcome};
 use crate::params::{CcfParams, ParamsError};
 use crate::predicate::Predicate;
 
-/// One stored row: a key fingerprint plus the row's attribute fingerprint vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
-    fp: u16,
-    attrs: Vec<u16>,
-}
-
 /// A plain (non-chaining, non-converting) conditional cuckoo filter.
 #[derive(Debug, Clone)]
 pub struct PlainCcf {
-    buckets: Vec<Vec<Entry>>,
-    geometry: SplitGeometry,
+    /// One slot per stored row: κ and the row's attribute fingerprint vector.
+    table: EntryTable,
     params: CcfParams,
-    fingerprinter: Fingerprinter,
     attr_fp: AttrFingerprinter,
     key_lower: SaltedHasher,
-    rng: StdRng,
-    occupied: usize,
     rows_absorbed: usize,
     instruments: CcfInstruments,
 }
@@ -65,13 +52,9 @@ impl PlainCcf {
         params.try_validate()?;
         let family = HashFamily::new(params.seed);
         Ok(Self {
-            buckets: vec![Vec::new(); params.num_buckets],
-            geometry: SplitGeometry::new(&family, params.num_buckets, 0),
-            fingerprinter: Fingerprinter::new(&family, params.fingerprint_bits),
+            table: EntryTable::new(&family, &params, params.num_attrs, params.seed ^ 0x9A1C),
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
             key_lower: family.hasher(purpose::KEY_LOWER),
-            rng: StdRng::seed_from_u64(params.seed ^ 0x9A1C),
-            occupied: 0,
             rows_absorbed: 0,
             instruments: CcfInstruments::disabled(),
             params,
@@ -82,20 +65,10 @@ impl PlainCcf {
     /// RNG words, the absorbed-rows counter, and every bucket's entries. Params and
     /// the sealed envelope are written by the caller.
     pub(crate) fn snapshot_payload(&self, w: &mut ccf_cuckoo::ByteWriter) {
-        w.put_u32(self.geometry.growth_bits());
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        w.put_u32(self.growth_bits());
+        self.table.write_rng(w);
         w.put_usize(self.rows_absorbed);
-        for bucket in &self.buckets {
-            w.put_u16(u16::try_from(bucket.len()).expect("bucket wider than u16"));
-            for entry in bucket {
-                w.put_u16(entry.fp);
-                for &a in &entry.attrs {
-                    w.put_u16(a);
-                }
-            }
-        }
+        self.table.write_buckets(w, write_vector_slot);
     }
 
     /// Inverse of [`PlainCcf::snapshot_payload`]: rebuild hashers and geometry from
@@ -106,51 +79,13 @@ impl PlainCcf {
         params: CcfParams,
         r: &mut ccf_cuckoo::ByteReader<'_>,
     ) -> Result<Self, ccf_cuckoo::SnapshotError> {
-        use ccf_cuckoo::SnapshotError;
         let growth_bits = r.get_u32()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
+        let rng = read_rng(r)?;
         let rows_absorbed = r.get_usize()?;
-        let base = crate::snapshot::split_growth(params.num_buckets, growth_bits)?;
-        let mut f = Self::try_new(CcfParams {
-            num_buckets: base,
-            ..params
-        })
-        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        if growth_bits > 0 {
-            let family = HashFamily::new(params.seed);
-            f.geometry = SplitGeometry::new(&family, base, growth_bits);
-            f.buckets = vec![Vec::new(); params.num_buckets];
-            f.params.num_buckets = params.num_buckets;
-        }
-        let mut occupied = 0usize;
-        for bucket in &mut f.buckets {
-            let len = usize::from(r.get_u16()?);
-            if len > params.entries_per_bucket {
-                return Err(SnapshotError::Invalid(format!(
-                    "bucket holds {len} entries but b = {}",
-                    params.entries_per_bucket
-                )));
-            }
-            bucket.reserve_exact(len);
-            for _ in 0..len {
-                let fp = r.get_u16()?;
-                if fp == 0 {
-                    return Err(SnapshotError::Invalid("stored fingerprint is zero".into()));
-                }
-                let mut attrs = Vec::with_capacity(params.num_attrs);
-                for _ in 0..params.num_attrs {
-                    attrs.push(r.get_u16()?);
-                }
-                bucket.push(Entry { fp, attrs });
-            }
-            occupied += len;
-        }
-        f.occupied = occupied;
+        let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
+        f.table.restore(growth_bits, rng, r, read_vector_slot)?;
+        f.params.num_buckets = params.num_buckets;
         f.rows_absorbed = rows_absorbed;
-        f.rng = StdRng::from_state(rng_state);
         Ok(f)
     }
 
@@ -179,7 +114,7 @@ impl PlainCcf {
 
     /// Number of occupied entries.
     pub fn occupied_entries(&self) -> usize {
-        self.occupied
+        self.table.occupied()
     }
 
     /// Number of rows absorbed (including deduplicated ones).
@@ -189,12 +124,12 @@ impl PlainCcf {
 
     /// Total entry slots `m · b`.
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * self.params.entries_per_bucket
+        self.table.capacity()
     }
 
     /// Load factor β.
     pub fn load_factor(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
+        self.table.load_factor()
     }
 
     /// Serialized size in bits: every slot carries |κ| + #α·|α| bits.
@@ -204,61 +139,27 @@ impl PlainCcf {
 
     /// Number of capacity doublings applied so far.
     pub fn growth_bits(&self) -> u32 {
-        self.geometry.growth_bits()
+        self.table.geometry().growth_bits()
     }
 
-    /// Per-bucket occupancy summary, including the actual heap footprint of the
-    /// bucket storage (spine, per-bucket entry arrays, and per-entry attribute
-    /// vectors).
+    /// Per-bucket occupancy summary, including the allocated heap bytes of the entry
+    /// table.
     pub fn occupancy(&self) -> OccupancyStats {
-        let heap = std::mem::size_of_val(self.buckets.as_slice())
-            + self
-                .buckets
-                .iter()
-                .map(|b| {
-                    std::mem::size_of_val(b.as_slice())
-                        + b.iter()
-                            .map(|e| std::mem::size_of_val(e.attrs.as_slice()))
-                            .sum::<usize>()
-                })
-                .sum::<usize>();
-        OccupancyStats::from_counts(
-            self.buckets.iter().map(Vec::len),
-            self.params.entries_per_bucket,
-        )
-        .with_heap_bytes(heap)
+        self.table.occupancy()
     }
 
     /// Resize-history summary.
     pub fn growth_stats(&self) -> GrowthStats {
-        GrowthStats {
-            base_buckets: self.geometry.base_buckets(),
-            current_buckets: self.buckets.len(),
-            growth_bits: self.geometry.growth_bits(),
-        }
-    }
-
-    fn pair_of(&self, key: u64) -> (u16, usize, usize) {
-        let (fp, base) = self
-            .fingerprinter
-            .fingerprint_and_bucket(key, self.geometry.base_buckets());
-        let l = self.geometry.home_bucket(base, fp);
-        let alt = self.geometry.alt_bucket(l, fp);
-        (fp, l, alt)
+        self.table.growth_stats()
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints
     /// alone: each entry keeps its bucket index or moves up by the old bucket count
-    /// according to its fingerprint's next growth bit
-    /// ([`ccf_cuckoo::geometry::split_buckets`]). The remap cannot fail.
+    /// according to its fingerprint's next growth bit. The remap cannot fail.
     pub fn grow(&mut self) {
         self.instruments.grows.inc();
-        let old_m = self.buckets.len();
-        let bit = self.geometry.growth_bits();
-        self.buckets.resize_with(old_m * 2, Vec::new);
-        split_buckets(&self.geometry, &mut self.buckets, old_m, bit, |e| e.fp);
-        self.geometry.record_doubling();
-        self.params.num_buckets = self.buckets.len();
+        self.table.grow();
+        self.params.num_buckets = self.table.num_buckets();
     }
 
     /// Insert a row. Exact duplicates of an already-stored (key, attributes) pair are
@@ -302,75 +203,34 @@ impl PlainCcf {
     /// Whether the key's bucket pair is already filled to its slot capacity (`2b`, or
     /// `b` when self-paired) with copies of the key's own fingerprint.
     fn pair_saturated_with_own_fp(&self, key: u64) -> bool {
-        let (fp, l, alt) = self.pair_of(key);
-        let pair_capacity = if l == alt {
-            self.params.entries_per_bucket
-        } else {
-            2 * self.params.entries_per_bucket
-        };
-        let copies = self.buckets[l].iter().filter(|e| e.fp == fp).count()
-            + if l == alt {
-                0
-            } else {
-                self.buckets[alt].iter().filter(|e| e.fp == fp).count()
-            };
-        copies >= pair_capacity
+        let (fp, l, alt) = self.table.pair_of(key);
+        let buckets = if l == alt { 1 } else { 2 };
+        self.table.count_in_pair(fp, l, alt) >= buckets * self.params.entries_per_bucket
     }
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
-        let (fp, l, alt) = self.pair_of(key);
-        let entry = Entry {
-            fp,
-            attrs: self.attr_fp.fingerprint_vector(attrs),
-        };
+        let (fp, l, alt) = self.table.pair_of(key);
+        fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
 
         // Dedupe exact (κ, α) duplicates.
-        if self.buckets[l].contains(&entry) || self.buckets[alt].contains(&entry) {
+        let t = &self.table;
+        if t.pair_slots(fp, l, alt)
+            .any(|(b, s)| t.payload(b, s) == t.staged())
+        {
             return Ok(InsertOutcome::Deduplicated);
         }
-
-        // Free slot in either bucket (primary preferred).
-        let b = self.params.entries_per_bucket;
-        if self.buckets[l].len() < b {
-            self.buckets[l].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
+        let placed = self.table.place_staged(
+            fp,
+            (l, alt),
+            KickRule::CoinTestAfter,
+            self.params.max_kicks,
+            &self.instruments,
+        );
+        if placed.is_err() {
+            self.rows_absorbed -= 1;
         }
-        if self.buckets[alt].len() < b {
-            self.buckets[alt].push(entry);
-            self.occupied += 1;
-            self.instruments.kick_depth.observe(0);
-            return Ok(InsertOutcome::Inserted);
-        }
-
-        // Kick loop, recording swaps so a failure can be rolled back.
-        let mut carried = entry;
-        let mut bucket = if self.rng.gen_bool(0.5) { l } else { alt };
-        let mut swaps: Vec<(usize, usize)> = Vec::new();
-        let mut kicks = 0u64;
-        for _ in 0..self.params.max_kicks {
-            kicks += 1;
-            let slot = self.rng.gen_range(0..b);
-            std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-            swaps.push((bucket, slot));
-            bucket = self.geometry.alt_bucket(bucket, carried.fp);
-            if self.buckets[bucket].len() < b {
-                self.buckets[bucket].push(carried);
-                self.occupied += 1;
-                self.instruments.kick_depth.observe(kicks);
-                return Ok(InsertOutcome::Inserted);
-            }
-        }
-        // Roll back so previously inserted rows keep their no-false-negative guarantee.
-        self.instruments.kick_depth.observe(kicks);
-        self.instruments.rollbacks.inc();
-        for (bucket, slot) in swaps.into_iter().rev() {
-            std::mem::swap(&mut self.buckets[bucket][slot], &mut carried);
-        }
-        self.rows_absorbed -= 1;
-        Err(InsertFailure::kicks_exhausted_at(self.load_factor()))
+        placed
     }
 
     /// Delete one stored copy of a row: removes an entry in the key's bucket pair
@@ -399,9 +259,8 @@ impl PlainCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                let alpha = self.attr_fp.fingerprint_vector(attrs);
-                let (fp, l, alt) = self.pair_of(key);
-                Ok(self.remove_matching(fp, l, alt, |e| e.attrs == alpha))
+                fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+                Ok(self.remove_matching(key, true))
             }
             Err(e) => Err(e),
         };
@@ -418,34 +277,26 @@ impl PlainCcf {
 
     /// [`PlainCcf::delete_key`] on already-lowered key material.
     pub fn delete_key_prehashed(&mut self, key: u64) -> Result<bool, DeleteFailure> {
-        let (fp, l, alt) = self.pair_of(key);
-        let result = Ok(self.remove_matching(fp, l, alt, |_| true));
+        let result = Ok(self.remove_matching(key, false));
         self.instruments.record_delete(&result);
         result
     }
 
-    /// Remove the first entry in the pair with fingerprint `fp` satisfying `matches`,
-    /// keeping `occupied`/`rows_absorbed` exact.
-    fn remove_matching(
-        &mut self,
-        fp: u16,
-        l: usize,
-        alt: usize,
-        matches: impl Fn(&Entry) -> bool,
-    ) -> bool {
-        let candidates: &[usize] = if l == alt { &[l] } else { &[l, alt] };
-        for &bkt in candidates {
-            if let Some(pos) = self.buckets[bkt]
-                .iter()
-                .position(|e| e.fp == fp && matches(e))
-            {
-                self.buckets[bkt].swap_remove(pos);
-                self.occupied -= 1;
-                self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
-                return true;
-            }
-        }
-        false
+    /// Remove the first entry in the key's pair carrying its fingerprint and, with
+    /// `by_row`, the staged attribute fingerprint vector, keeping `rows_absorbed`
+    /// exact.
+    fn remove_matching(&mut self, key: u64, by_row: bool) -> bool {
+        let (fp, l, alt) = self.table.pair_of(key);
+        let t = &self.table;
+        let hit = t
+            .pair_slots(fp, l, alt)
+            .find(|&(b, s)| !by_row || t.payload(b, s) == t.staged());
+        let Some((bucket, slot)) = hit else {
+            return false;
+        };
+        self.table.swap_remove(bucket, slot);
+        self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
+        true
     }
 
     /// Batched row deletion: equivalent to calling [`PlainCcf::delete_row`] per row in
@@ -493,19 +344,16 @@ impl PlainCcf {
 
     /// [`PlainCcf::query`] on already-lowered key material.
     pub fn query_prehashed(&self, key: u64, pred: &Predicate) -> bool {
-        let (fp, l, alt) = self.pair_of(key);
+        let (fp, l, alt) = self.table.pair_of(key);
         let hit = self.query_pair(fp, l, alt, pred);
         self.instruments.record_query(hit);
         hit
     }
 
     fn query_pair(&self, fp: u16, l: usize, alt: usize, pred: &Predicate) -> bool {
-        let candidates: &[usize] = if l == alt { &[l] } else { &[l, alt] };
-        candidates.iter().any(|&bkt| {
-            self.buckets[bkt]
-                .iter()
-                .any(|e| e.fp == fp && match_fingerprint_vector(pred, &e.attrs, &self.attr_fp))
-        })
+        self.table
+            .pair_slots(fp, l, alt)
+            .any(|(b, s)| match_fingerprint_vector(pred, self.table.payload(b, s), &self.attr_fp))
     }
 
     /// Batched predicate query: bit-identical to calling [`PlainCcf::query`] per key,
@@ -519,8 +367,8 @@ impl PlainCcf {
     pub fn query_batch_prehashed(&self, keys: &[u64], pred: &Predicate) -> Vec<bool> {
         let hits = probe_chunked(
             keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
+            |key| self.table.pair_of(key),
+            |bucket| self.table.prefetch(bucket),
             |fp, l, alt| self.query_pair(fp, l, alt, pred),
         );
         self.instruments.record_query_batch(&hits);
@@ -534,8 +382,8 @@ impl PlainCcf {
 
     /// [`PlainCcf::contains_key`] on already-lowered key material.
     pub fn contains_key_prehashed(&self, key: u64) -> bool {
-        let (fp, l, alt) = self.pair_of(key);
-        self.buckets[l].iter().any(|e| e.fp == fp) || self.buckets[alt].iter().any(|e| e.fp == fp)
+        let (fp, l, alt) = self.table.pair_of(key);
+        self.table.contains(fp, l, alt)
     }
 
     /// Batched key-only membership query (see [`PlainCcf::query_batch`]).
@@ -545,15 +393,7 @@ impl PlainCcf {
 
     /// [`PlainCcf::contains_key_batch`] on already-lowered key material.
     pub fn contains_key_batch_prehashed(&self, keys: &[u64]) -> Vec<bool> {
-        probe_chunked(
-            keys,
-            |key| self.pair_of(key),
-            |bucket| prefetch_index(&self.buckets, bucket),
-            |fp, l, alt| {
-                self.buckets[l].iter().any(|e| e.fp == fp)
-                    || self.buckets[alt].iter().any(|e| e.fp == fp)
-            },
-        )
+        self.table.contains_batch(keys)
     }
 
     /// The attribute fingerprinter (shared so baselines can compute identical
@@ -901,6 +741,32 @@ mod tests {
         assert_eq!(
             PlainCcf::try_new(bad).err(),
             Some(ParamsError::FingerprintBitsOutOfRange { got: 19 })
+        );
+    }
+
+    #[test]
+    fn heap_bytes_are_the_tables_allocated_capacity() {
+        let mut f = PlainCcf::new(
+            CcfParams {
+                num_buckets: 1 << 6,
+                ..params(24)
+            }
+            .with_auto_grow(),
+        );
+        for k in 0..2000u64 {
+            f.insert_row(k, &[k % 7, k % 11]).unwrap();
+        }
+        for k in (0..2000u64).step_by(3) {
+            assert_eq!(f.delete_row(k, &[k % 7, k % 11]), Ok(true));
+        }
+        assert!(f.growth_bits() >= 2, "the test must cover grown tables");
+        let heap = f.occupancy().heap_bytes;
+        assert_eq!(heap, f.table.heap_bytes());
+        // At least the slots' fingerprints and attribute words (2 + 2·2 bytes each).
+        assert!(
+            heap >= f.capacity() * 6,
+            "{heap} B for {} slots",
+            f.capacity()
         );
     }
 }

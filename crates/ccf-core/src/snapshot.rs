@@ -136,6 +136,21 @@ pub(crate) fn split_growth(num_buckets: usize, growth_bits: u32) -> Result<usize
     Ok(base)
 }
 
+/// Build an empty filter at the base size a snapshot's `num_buckets` and
+/// `growth_bits` imply; the entry table's restore then applies the doublings.
+pub(crate) fn at_base_size<F>(
+    params: CcfParams,
+    growth_bits: u32,
+    try_new: impl FnOnce(CcfParams) -> Result<F, crate::ParamsError>,
+) -> Result<F, SnapshotError> {
+    let base = split_growth(params.num_buckets, growth_bits)?;
+    try_new(CcfParams {
+        num_buckets: base,
+        ..params
+    })
+    .map_err(|e| SnapshotError::Invalid(e.to_string()))
+}
+
 impl AnyCcf {
     /// Serialize the filter into a sealed snapshot image. The inverse,
     /// [`AnyCcf::from_snapshot_bytes`], rebuilds a bit-identical filter: identical

@@ -148,31 +148,6 @@ pub fn grow_and_retry<S, T, E>(
     }
 }
 
-/// Migrate `Vec`-bucket storage across one doubling: for each entry in the lower half
-/// (its fingerprint given by `fp_of`), either keep it or move it up by the old bucket
-/// count according to its growth bit. The buckets must already be resized to twice
-/// `old_buckets`; `bit` is the doubling being applied (the geometry's `growth_bits`
-/// *before* [`SplitGeometry::record_doubling`]). The remap cannot fail.
-pub fn split_buckets<E>(
-    geometry: &SplitGeometry,
-    buckets: &mut [Vec<E>],
-    old_buckets: usize,
-    bit: u32,
-    fp_of: impl Fn(&E) -> u16,
-) {
-    for bucket in 0..old_buckets {
-        let entries = std::mem::take(&mut buckets[bucket]);
-        for entry in entries {
-            let dst = if geometry.growth_bit(fp_of(&entry), bit) {
-                bucket + old_buckets
-            } else {
-                bucket
-            };
-            buckets[dst].push(entry);
-        }
-    }
-}
-
 /// Best-effort prefetch of `slice[index]` into L1. A pure performance hint — out-of-
 /// range indices are ignored, nothing is dereferenced, and the call compiles to a
 /// no-op on targets without a prefetch intrinsic. This is the one place in the crate
@@ -276,22 +251,6 @@ mod tests {
                 0
             };
             assert_eq!(extra, expected, "fp {fp}");
-        }
-    }
-
-    #[test]
-    fn split_buckets_moves_entries_by_their_growth_bit() {
-        let geom = geometry(0);
-        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); 512];
-        for fp in 1..300u16 {
-            buckets[fp as usize % 256].push(fp);
-        }
-        split_buckets(&geom, &mut buckets, 256, 0, |&fp| fp);
-        for (idx, bucket) in buckets.iter().enumerate() {
-            for &fp in bucket {
-                let expected = (fp as usize % 256) + usize::from(geom.growth_bit(fp, 0)) * 256;
-                assert_eq!(idx, expected, "fp {fp} landed in the wrong half");
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The event-telemetry bundle the cuckoo structures record into.
 //!
-//! Each structure ([`crate::CuckooFilter`], [`crate::CuckooHashTable`],
-//! [`crate::ChainedCuckooTable`]) owns a [`FilterInstruments`], which starts disabled
+//! Each structure ([`crate::CuckooFilter`], [`crate::CuckooHashTable`]) owns a
+//! [`FilterInstruments`], which starts disabled
 //! (`Default`) and is resolved against a live registry by the structure's
 //! `attach_telemetry` method. Resolution happens **once at attach time** — the hot
 //! paths touch pre-resolved handles, never the registry — and a disabled bundle costs
@@ -43,11 +43,6 @@ pub struct FilterInstruments {
     pub self_paired_failfasts: Counter,
     /// Successful deletions.
     pub deletes: Counter,
-    /// Chain-walk depth per insertion for structures with chaining (pairs visited
-    /// before one accepted the entry; 0 = primary pair). Disabled — even when the
-    /// bundle is attached — for structures without chains, so their expositions stay
-    /// free of dead series; [`FilterInstruments::resolve_chained`] enables it.
-    pub chain_walk_depth: Histogram,
 }
 
 impl FilterInstruments {
@@ -92,23 +87,7 @@ impl FilterInstruments {
                 labels,
             ),
             deletes: telemetry.counter("cuckoo_deletes_total", "Successful deletions", labels),
-            chain_walk_depth: Histogram::disabled(),
         }
-    }
-
-    /// [`FilterInstruments::resolve`] plus the chain-walk histogram, for structures
-    /// that store duplicates along chained bucket pairs.
-    pub fn resolve_chained(telemetry: &Telemetry, structure: &str, extra: &[(&str, &str)]) -> Self {
-        let mut bundle = Self::resolve(telemetry, structure, extra);
-        let mut labels: Vec<(&str, &str)> = vec![("structure", structure)];
-        labels.extend_from_slice(extra);
-        bundle.chain_walk_depth = telemetry.histogram(
-            "cuckoo_chain_walk_depth",
-            "Chained bucket pairs visited per insertion (0 = primary pair)",
-            &buckets::log2(KICK_DEPTH_BUCKET_MAX),
-            &labels,
-        );
-        bundle
     }
 
     /// Whether this bundle records anywhere.
@@ -161,7 +140,7 @@ mod tests {
     fn two_structures_share_metric_names_but_not_series() {
         let t = Telemetry::enabled();
         let a = FilterInstruments::resolve(&t, "cuckoo_filter", &[]);
-        let b = FilterInstruments::resolve(&t, "chained_table", &[]);
+        let b = FilterInstruments::resolve(&t, "hash_table", &[]);
         a.inserts.inc();
         b.inserts.add(5);
         let snap = t.snapshot();
@@ -170,7 +149,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(
-            snap.counter("cuckoo_inserts_total", &[("structure", "chained_table")]),
+            snap.counter("cuckoo_inserts_total", &[("structure", "hash_table")]),
             Some(5)
         );
         assert_eq!(snap.counter_sum("cuckoo_inserts_total"), 6);

@@ -33,7 +33,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chained_table;
 pub mod filter;
 pub mod geometry;
 pub mod instruments;
@@ -44,7 +43,6 @@ pub mod snapshot;
 pub mod store;
 pub mod table;
 
-pub use chained_table::ChainedCuckooTable;
 pub use filter::{CuckooFilter, CuckooFilterParams, InsertError, MAX_KICKS};
 pub use geometry::SplitGeometry;
 pub use instruments::FilterInstruments;

@@ -127,11 +127,10 @@ impl PackedBuckets {
         &self.counts
     }
 
-    /// Bytes of the bucket storage: the packed fingerprint words plus the occupancy
-    /// counters. Measured from the live lengths, so it reflects what a right-sized
-    /// allocation holds (growth may leave `Vec` capacity slack beyond this).
+    /// Bytes allocated for the bucket storage: the capacity of the packed fingerprint
+    /// words plus that of the occupancy counters.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.words.as_slice()) + self.counts.len()
+        self.words.capacity() * std::mem::size_of::<u64>() + self.counts.capacity()
     }
 
     /// The words backing `bucket` (exposed for analysis and the batch kernel's
@@ -562,6 +561,15 @@ mod tests {
         for (b, &len) in per_bucket.iter().enumerate() {
             assert_eq!(len, p.bucket_len(b), "bucket {b} counter drifted");
         }
+    }
+
+    #[test]
+    fn heap_bytes_are_the_allocated_capacity() {
+        let mut p = PackedBuckets::new(3, 6);
+        p.extend_buckets(3);
+        p.extend_buckets(1);
+        assert_eq!(p.heap_bytes(), p.words.capacity() * 8 + p.counts.capacity());
+        assert!(p.heap_bytes() >= 7 * 2 * 8 + 7);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! [`StorageKind`] knob (an enum dispatch, [`AnyBuckets`]) rather than a generic
 //! parameter so one `CuckooFilter` type serves both backends and the builder facade
 //! can select storage from configuration.
+//!
+//! [`SemisortBuckets`] cannot back CCF entries: it reorders a bucket's slots on every
+//! mutation, and the CCF entry table's payload slab, indexed by slot, cannot follow
+//! that reordering. The CCF variants therefore always keep their fingerprints in
+//! [`PackedBuckets`]; the knob selects the backend of the key-only filters they derive.
 
 use crate::packed::PackedBuckets;
 use crate::semisort::SemisortBuckets;

@@ -8,8 +8,7 @@
 //!
 //! The table also offers [`CuckooHashTable::insert_duplicate`], which appends another
 //! (key, value) pair instead of updating — the multiset behaviour whose limitations
-//! (§4.3) the CCF's chaining fixes. §11 notes the chaining technique applies to full
-//! hash tables as well; that extension is [`crate::ChainedCuckooTable`].
+//! (§4.3) the CCF's chaining fixes.
 
 use ccf_hash::{HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
