@@ -43,14 +43,6 @@ pub fn match_fingerprint_vector(
         })
 }
 
-/// Write a row's attribute fingerprint vector into `out` (one word per column) — the
-/// allocation-free form of [`AttrFingerprinter::fingerprint_vector`].
-pub(crate) fn fingerprint_into(attr_fp: &AttrFingerprinter, attrs: &[u64], out: &mut [u16]) {
-    for (col, (&v, slot)) in attrs.iter().zip(out).enumerate() {
-        *slot = attr_fp.fingerprint(col, v);
-    }
-}
-
 /// Words of a sketch record after the filter bits: the pair count, little-endian.
 const COUNT_WORDS: usize = 4;
 
@@ -199,7 +191,8 @@ mod tests {
     fn vector_match_requires_every_constrained_column() {
         let af = attr_fp();
         let row = [5u64, 300u64];
-        let stored = af.fingerprint_vector(&row);
+        let mut stored = [0; 2];
+        af.fingerprint_vector(&row, &mut stored);
         // Matching both columns.
         assert!(match_fingerprint_vector(
             &Predicate::any(2).and_eq(0, 5).and_eq(1, 300),
@@ -220,7 +213,8 @@ mod tests {
     #[test]
     fn vector_match_in_list_any_candidate() {
         let af = attr_fp();
-        let stored = af.fingerprint_vector(&[7]);
+        let mut stored = [0];
+        af.fingerprint_vector(&[7], &mut stored);
         let pred = Predicate::new(vec![ColumnPredicate::InList(vec![1, 7, 9])]);
         assert!(match_fingerprint_vector(&pred, &stored, &af));
         let pred_miss = Predicate::new(vec![ColumnPredicate::InList(vec![1, 2, 3])]);

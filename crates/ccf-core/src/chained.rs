@@ -22,7 +22,7 @@ use ccf_cuckoo::{GrowthStats, OccupancyStats, PackedBuckets};
 use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::{fingerprint_into, match_fingerprint_vector};
+use crate::attr::match_fingerprint_vector;
 use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -340,7 +340,8 @@ impl ChainedCcf {
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, mut l) = self.home_of(key);
-        fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+        self.attr_fp
+            .fingerprint_vector(attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
         for depth in 0..self.chain.max_walk {
             self.max_chain_seen = self.max_chain_seen.max(depth + 1);
@@ -431,7 +432,8 @@ impl ChainedCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+                self.attr_fp
+                    .fingerprint_vector(attrs, self.table.staged_mut());
                 Ok(self.delete_from_chain(key, true))
             }
             Err(e) => Err(e),

@@ -585,26 +585,4 @@ mod tests {
         assert_eq!(t.occupancy().heap_bytes, expected);
         assert!(t.payload.capacity() >= 32 * 4 * 2);
     }
-
-    #[test]
-    fn buckets_round_trip_through_the_snapshot_codec() {
-        let mut t = table(8, 4);
-        for fp in 1..25u16 {
-            push(&mut t, usize::from(fp) % 8, fp);
-        }
-        t.grow();
-        t.swap_remove(2, 0);
-        let mut w = ByteWriter::new(7, 1);
-        t.write_rng(&mut w);
-        t.write_buckets(&mut w, write_vector_slot);
-        let image = w.seal();
-        let mut r = ByteReader::open(&image, 7, 1).unwrap();
-        let mut back = table(8, 4);
-        let rng = read_rng(&mut r).unwrap();
-        back.restore(1, rng, &mut r, read_vector_slot).unwrap();
-        r.finish().unwrap();
-        assert_eq!(contents(&back), contents(&t));
-        assert_eq!(back.occupied(), t.occupied());
-        assert_eq!(back.rng.state(), t.rng.state());
-    }
 }

@@ -29,9 +29,7 @@ use ccf_cuckoo::{GrowthStats, OccupancyStats};
 use ccf_hash::{AttrFingerprinter, HashFamily};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::{
-    fingerprint_into, match_fingerprint_bloom, match_fingerprint_vector, SketchFormat,
-};
+use crate::attr::{match_fingerprint_bloom, match_fingerprint_vector, SketchFormat};
 use crate::entry_table::{read_rng, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -268,7 +266,7 @@ impl MixedCcf {
         let staged = self.table.staged_mut();
         staged.fill(0);
         staged[0] = VECTOR;
-        fingerprint_into(&self.attr_fp, attrs, &mut staged[1..]);
+        self.attr_fp.fingerprint_vector(attrs, &mut staged[1..]);
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints

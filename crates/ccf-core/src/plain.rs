@@ -15,7 +15,7 @@ use ccf_hash::salted::purpose;
 use ccf_hash::{AttrFingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::{fingerprint_into, match_fingerprint_vector};
+use crate::attr::match_fingerprint_vector;
 use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -210,7 +210,8 @@ impl PlainCcf {
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, l, alt) = self.table.pair_of(key);
-        fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+        self.attr_fp
+            .fingerprint_vector(attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
 
         // Dedupe exact (κ, α) duplicates.
@@ -259,7 +260,8 @@ impl PlainCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                fingerprint_into(&self.attr_fp, attrs, self.table.staged_mut());
+                self.attr_fp
+                    .fingerprint_vector(attrs, self.table.staged_mut());
                 Ok(self.remove_matching(key, true))
             }
             Err(e) => Err(e),

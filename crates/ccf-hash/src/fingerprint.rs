@@ -133,13 +133,11 @@ impl AttrFingerprinter {
         (hasher.hash_u64(value) & mask) as u16
     }
 
-    /// Fingerprint an entire attribute vector.
-    pub fn fingerprint_vector(&self, values: &[u64]) -> Vec<u16> {
-        values
-            .iter()
-            .enumerate()
-            .map(|(col, &v)| self.fingerprint(col, v))
-            .collect()
+    /// Fingerprint an entire attribute vector into `out`, one word per column.
+    pub fn fingerprint_vector(&self, values: &[u64], out: &mut [u16]) {
+        for (col, (&v, slot)) in values.iter().zip(out).enumerate() {
+            *slot = self.fingerprint(col, v);
+        }
     }
 }
 
@@ -254,8 +252,8 @@ mod tests {
     fn fingerprint_vector_matches_per_column() {
         let a = AttrFingerprinter::new(&family(), 8, true);
         let values = vec![3u64, 123_456, 7, 999_999_999];
-        let vector = a.fingerprint_vector(&values);
-        assert_eq!(vector.len(), values.len());
+        let mut vector = vec![0; values.len()];
+        a.fingerprint_vector(&values, &mut vector);
         for (col, &v) in values.iter().enumerate() {
             assert_eq!(vector[col], a.fingerprint(col, v));
         }
