@@ -191,8 +191,7 @@ mod tests {
     fn vector_match_requires_every_constrained_column() {
         let af = attr_fp();
         let row = [5u64, 300u64];
-        let mut stored = [0; 2];
-        af.fingerprint_vector(&row, &mut stored);
+        let stored = af.fingerprint_vector(&row);
         // Matching both columns.
         assert!(match_fingerprint_vector(
             &Predicate::any(2).and_eq(0, 5).and_eq(1, 300),
@@ -213,8 +212,7 @@ mod tests {
     #[test]
     fn vector_match_in_list_any_candidate() {
         let af = attr_fp();
-        let mut stored = [0];
-        af.fingerprint_vector(&[7], &mut stored);
+        let stored = af.fingerprint_vector(&[7]);
         let pred = Predicate::new(vec![ColumnPredicate::InList(vec![1, 7, 9])]);
         assert!(match_fingerprint_vector(&pred, &stored, &af));
         let pred_miss = Predicate::new(vec![ColumnPredicate::InList(vec![1, 2, 3])]);

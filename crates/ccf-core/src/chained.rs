@@ -341,7 +341,7 @@ impl ChainedCcf {
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, mut l) = self.home_of(key);
         self.attr_fp
-            .fingerprint_vector(attrs, self.table.staged_mut());
+            .fingerprint_into(attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
         for depth in 0..self.chain.max_walk {
             self.max_chain_seen = self.max_chain_seen.max(depth + 1);
@@ -433,7 +433,7 @@ impl ChainedCcf {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
                 self.attr_fp
-                    .fingerprint_vector(attrs, self.table.staged_mut());
+                    .fingerprint_into(attrs, self.table.staged_mut());
                 Ok(self.delete_from_chain(key, true))
             }
             Err(e) => Err(e),

@@ -266,7 +266,7 @@ impl MixedCcf {
         let staged = self.table.staged_mut();
         staged.fill(0);
         staged[0] = VECTOR;
-        self.attr_fp.fingerprint_vector(attrs, &mut staged[1..]);
+        self.attr_fp.fingerprint_into(attrs, &mut staged[1..]);
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints

@@ -211,7 +211,7 @@ impl PlainCcf {
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, l, alt) = self.table.pair_of(key);
         self.attr_fp
-            .fingerprint_vector(attrs, self.table.staged_mut());
+            .fingerprint_into(attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
 
         // Dedupe exact (κ, α) duplicates.
@@ -261,7 +261,7 @@ impl PlainCcf {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
                 self.attr_fp
-                    .fingerprint_vector(attrs, self.table.staged_mut());
+                    .fingerprint_into(attrs, self.table.staged_mut());
                 Ok(self.remove_matching(key, true))
             }
             Err(e) => Err(e),

@@ -133,8 +133,16 @@ impl AttrFingerprinter {
         (hasher.hash_u64(value) & mask) as u16
     }
 
-    /// Fingerprint an entire attribute vector into `out`, one word per column.
-    pub fn fingerprint_vector(&self, values: &[u64], out: &mut [u16]) {
+    /// Fingerprint an entire attribute vector.
+    pub fn fingerprint_vector(&self, values: &[u64]) -> Vec<u16> {
+        let mut out = vec![0; values.len()];
+        self.fingerprint_into(values, &mut out);
+        out
+    }
+
+    /// [`AttrFingerprinter::fingerprint_vector`] into a caller's buffer, one word per
+    /// column, so a hot path need not allocate.
+    pub fn fingerprint_into(&self, values: &[u64], out: &mut [u16]) {
         for (col, (&v, slot)) in values.iter().zip(out).enumerate() {
             *slot = self.fingerprint(col, v);
         }
@@ -252,8 +260,8 @@ mod tests {
     fn fingerprint_vector_matches_per_column() {
         let a = AttrFingerprinter::new(&family(), 8, true);
         let values = vec![3u64, 123_456, 7, 999_999_999];
-        let mut vector = vec![0; values.len()];
-        a.fingerprint_vector(&values, &mut vector);
+        let vector = a.fingerprint_vector(&values);
+        assert_eq!(vector.len(), values.len());
         for (col, &v) in values.iter().enumerate() {
             assert_eq!(vector[col], a.fingerprint(col, v));
         }
