@@ -206,7 +206,7 @@ impl EntryTable {
     }
 
     /// Key-only membership for a batch of lowered keys, in key order: the chunked
-    /// hash→prefetch→probe driver over the fingerprints alone.
+    /// hash→prefetch→probe pipeline over the fingerprints alone.
     pub fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         probe_chunked(
             keys,
