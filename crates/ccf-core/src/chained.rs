@@ -91,12 +91,10 @@ impl Chain {
             let mut count = 0usize;
             let buckets = if l == l_alt { 1 } else { 2 };
             for bucket in [l, l_alt].into_iter().take(buckets) {
-                for slot in 0..keys.bucket_len(bucket) {
-                    if keys.get(bucket, slot) == fp {
-                        count += 1;
-                        if matches(bucket, slot) {
-                            return true;
-                        }
+                for slot in keys.slots_of(bucket, fp) {
+                    count += 1;
+                    if matches(bucket, slot) {
+                        return true;
                     }
                 }
             }
@@ -384,6 +382,7 @@ impl ChainedCcf {
         self.rows_dropped += 1;
         Ok(InsertOutcome::DroppedChainCap)
     }
+
     /// Delete one stored copy of a row without breaking the chain encoding.
     ///
     /// The chain is a counting code: a query walks to the next bucket pair only while
@@ -494,7 +493,7 @@ impl ChainedCcf {
         let t = &self.table;
         let mut matched: Option<(usize, usize, usize)> = None; // (first_depth, bucket, slot)
         for &(fd, bkt) in &visited {
-            for slot in t.slots_with(bkt, fp) {
+            for slot in t.keys().slots_of(bkt, fp) {
                 let hit = !by_row || t.payload(bkt, slot) == t.staged();
                 if hit && matched.map_or(true, |(mfd, _, _)| fd >= mfd) {
                     matched = Some((fd, bkt, slot));
@@ -542,7 +541,8 @@ impl ChainedCcf {
                 return;
             };
             let donor_slot = t
-                .slots_with(donor_bkt, fp)
+                .keys()
+                .slots_of(donor_bkt, fp)
                 .next()
                 .expect("donor bucket holds a copy");
             // Target: a bucket of the dented pair with spare capacity — the freed

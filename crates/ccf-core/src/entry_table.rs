@@ -166,18 +166,6 @@ impl EntryTable {
         self.fp(bucket, slot)
     }
 
-    /// Slots of `bucket` holding `fp`, in slot order. A SWAR compare rules out
-    /// buckets without a copy before any slot is read.
-    #[inline]
-    pub fn slots_with(&self, bucket: usize, fp: u16) -> impl Iterator<Item = usize> + '_ {
-        let len = if self.keys.contains(bucket, fp) {
-            self.len(bucket)
-        } else {
-            0
-        };
-        (0..len).filter(move |&s| self.fp(bucket, s) == fp)
-    }
-
     /// (bucket, slot) of every entry holding `fp` in the pair (ℓ, ℓ′): ℓ's slots
     /// first, and a self-paired bucket visited once.
     #[inline]
@@ -187,11 +175,11 @@ impl EntryTable {
         l: usize,
         alt: usize,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let buckets = if l == alt { 1 } else { 2 };
-        [l, alt]
-            .into_iter()
-            .take(buckets)
-            .flat_map(move |bucket| self.slots_with(bucket, fp).map(move |s| (bucket, s)))
+        let alt_slots = self
+            .keys
+            .slots_of(alt, fp)
+            .take(if l == alt { 0 } else { usize::MAX });
+        (self.keys.slots_of(l, fp).map(move |s| (l, s))).chain(alt_slots.map(move |s| (alt, s)))
     }
 
     /// Copies of `fp` in the pair (ℓ, ℓ′).

@@ -44,6 +44,39 @@ pub(crate) fn zero_lanes(x: u64) -> u64 {
     x.wrapping_sub(LANE_LSB) & !x & LANE_MSB
 }
 
+/// The slots of one bucket that hold one fingerprint, in slot order
+/// ([`PackedBuckets::slots_of`]).
+#[derive(Debug, Clone)]
+pub struct SlotsOf<'a> {
+    words: std::slice::Iter<'a, u64>,
+    pattern: u64,
+    /// First slot of the next word to load.
+    next_slot: usize,
+    /// First slot of the current word.
+    slot: usize,
+    /// High bit of each not-yet-returned matching lane of the current word.
+    lanes: u64,
+}
+
+impl Iterator for SlotsOf<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.lanes == 0 {
+            let x = self.words.next()? ^ self.pattern;
+            // Exact zero-lane mask (no borrow crosses lanes): the high bit of each
+            // lane is set iff that lane of the word equals the fingerprint.
+            self.lanes = !(((x & !LANE_MSB) + !LANE_MSB) | x | !LANE_MSB);
+            self.slot = self.next_slot;
+            self.next_slot += LANES;
+        }
+        let lane = self.lanes.trailing_zeros() as usize / 16;
+        self.lanes &= self.lanes - 1;
+        Some(self.slot + lane)
+    }
+}
+
 /// All `m · b` fingerprint slots of a cuckoo structure in one contiguous bit-packed
 /// array, with O(1) maintained occupancy counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,12 +284,23 @@ impl PackedBuckets {
         acc != 0
     }
 
-    /// Number of copies of `fp` in `bucket` (exact slot-wise count; the SWAR mask is
-    /// existence-exact but not count-exact, so this stays a lane walk).
+    /// Number of copies of `fp` in `bucket`.
     pub fn count(&self, bucket: usize, fp: u16) -> usize {
-        (0..self.entries_per_bucket)
-            .filter(|&s| self.get(bucket, s) == fp)
-            .count()
+        self.slots_of(bucket, fp).count()
+    }
+
+    /// The slots of `bucket` holding `fp`, in slot order: one exact SWAR compare per
+    /// word, then a walk over the matching lanes only. Empty and padding lanes hold 0,
+    /// which no fingerprint equals.
+    #[inline]
+    pub fn slots_of(&self, bucket: usize, fp: u16) -> SlotsOf<'_> {
+        SlotsOf {
+            words: self.bucket_words(bucket).iter(),
+            pattern: broadcast(fp),
+            next_slot: 0,
+            slot: 0,
+            lanes: 0,
+        }
     }
 
     /// Remove one copy of `fp` from `bucket` (the lowest-numbered matching slot).
@@ -560,6 +604,23 @@ mod tests {
         assert_eq!(total, p.occupied());
         for (b, &len) in per_bucket.iter().enumerate() {
             assert_eq!(len, p.bucket_len(b), "bucket {b} counter drifted");
+        }
+    }
+
+    #[test]
+    fn slots_of_lists_exactly_the_matching_slots() {
+        // Lane values around the probed one stress borrow propagation; b = 6 puts two
+        // padding lanes in the second word.
+        let mut p = PackedBuckets::new(1, 6);
+        for (slot, fp) in [0x0001u16, 0x0002, 0x8001, 0x0002, 0xFFFF, 0x0003]
+            .into_iter()
+            .enumerate()
+        {
+            p.swap(0, slot, fp);
+        }
+        for fp in [1u16, 2, 3, 0x8001, 0xFFFF, 0x8000, 4] {
+            let expected: Vec<usize> = (0..6).filter(|&s| p.get(0, s) == fp).collect();
+            assert_eq!(p.slots_of(0, fp).collect::<Vec<_>>(), expected, "{fp:#x}");
         }
     }
 
