@@ -1297,4 +1297,61 @@ mod tests {
         // The derived filter shares the fingerprints and adds one bit per slot.
         assert!(f.predicate_filter(&Predicate::any(2)).size_bits() < f.size_bits());
     }
+
+    #[test]
+    fn stores_hundreds_of_rows_for_one_key() {
+        // A plain filter caps a key at 2b = 8 rows; chaining keeps all 300, d = 3 per
+        // pair, so the key's chain walks at least 100 pairs.
+        let mut f = ChainedCcf::new(CcfParams {
+            num_buckets: 256,
+            entries_per_bucket: 4,
+            ..params(35)
+        });
+        let rows: Vec<[u64; 2]> = (0..300u64).map(|i| [i % 200, i / 200]).collect();
+        for attrs in &rows {
+            assert_eq!(f.insert_row(42u64, attrs), Ok(InsertOutcome::Inserted));
+        }
+        assert_eq!(f.occupied_entries(), 300);
+        assert!(f.max_chain_seen() >= 100, "chain {}", f.max_chain_seen());
+        for attrs in &rows {
+            let pred = Predicate::any(2).and_eq(0, attrs[0]).and_eq(1, attrs[1]);
+            assert!(f.query(42u64, &pred), "false negative for row {attrs:?}");
+        }
+    }
+
+    #[test]
+    fn sustains_a_high_load_factor_with_ten_rows_per_key() {
+        // b = 6, d = 3 and ten rows per key: the first failed insertion comes only
+        // past a load factor of 0.8.
+        let mut f = ChainedCcf::new(CcfParams {
+            num_buckets: 512,
+            ..params(36)
+        });
+        let mut inserted = 0usize;
+        'outer: for key in 0u64.. {
+            for i in 0..10u64 {
+                if f.insert_row(key, &[i, key % 7]).is_err() {
+                    break 'outer;
+                }
+                inserted += 1;
+            }
+        }
+        assert!(inserted > 0);
+        assert!(
+            f.load_factor() > 0.8,
+            "chained filter failed at load factor {}",
+            f.load_factor()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "max_dupes 5 cannot exceed")]
+    fn rejects_a_duplicate_cap_above_the_bucket_pair() {
+        let _ = ChainedCcf::new(CcfParams {
+            num_buckets: 8,
+            entries_per_bucket: 2,
+            max_dupes: 5,
+            ..params(37)
+        });
+    }
 }

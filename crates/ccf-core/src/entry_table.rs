@@ -573,4 +573,28 @@ mod tests {
         assert_eq!(t.occupancy().heap_bytes, expected);
         assert!(t.payload.capacity() >= 32 * 4 * 2);
     }
+
+    #[test]
+    fn failed_insert_reports_rounded_load_factor() {
+        // Fill a 64-slot table through the kick loop until it fails: the error must
+        // carry the table's load factor rounded to thousandths, never floored.
+        let mut t = table(16, 4);
+        let instruments = CcfInstruments::disabled();
+        let err = (0..1000u64)
+            .find_map(|key| {
+                let (fp, l, alt) = t.pair_of(key);
+                t.staged_mut().copy_from_slice(&[fp, fp]);
+                t.place_staged(fp, (l, alt), KickRule::CoinTestAfter, 500, &instruments)
+                    .err()
+            })
+            .expect("a 64-slot table must eventually fill");
+        assert_eq!(err, InsertFailure::kicks_exhausted_at(t.load_factor()));
+        let millis = (t.occupied() as f64 * 1000.0 / t.capacity() as f64).round() as u32;
+        assert_eq!(
+            err,
+            InsertFailure::KicksExhausted {
+                load_factor_millis: millis
+            }
+        );
+    }
 }

@@ -192,4 +192,22 @@ mod tests {
         .to_string();
         assert!(msg.contains("2 attributes") && msg.contains("expects 3"));
     }
+
+    #[test]
+    fn kicks_exhausted_rounds_to_the_nearest_milli_off_the_boundary() {
+        // Below and above the .5 boundary, and the ends of the range.
+        for (load_factor, millis) in [(0.062, 62), (0.0626, 63), (0.0, 0), (1.0, 1000)] {
+            assert_eq!(
+                InsertFailure::kicks_exhausted_at(load_factor),
+                InsertFailure::KicksExhausted {
+                    load_factor_millis: millis
+                },
+                "load factor {load_factor}"
+            );
+        }
+        // The message shows the rounded figure.
+        assert!(InsertFailure::kicks_exhausted_at(1.0 / 16.0)
+            .to_string()
+            .contains("0.063"));
+    }
 }
