@@ -127,7 +127,6 @@ pub fn figure8_sweep(ctx: &JobLightContext) -> Vec<SweepPoint> {
                     bloom_bits: (attr_bits as usize) * 3,
                     bloom_hashes: 2,
                     max_dupes: 3,
-                    storage: ccf_cuckoo::StorageKind::from_env(),
                     seed: 0xF18,
                 };
                 let label = format!("{variant:?} |κ|={fp_bits} |α|={attr_bits}");

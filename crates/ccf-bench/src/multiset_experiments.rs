@@ -71,11 +71,6 @@ impl MultisetConfig {
             max_dupes: self.max_dupes,
             max_chain: None,
             seed: self.seed,
-            // The Figure 4/5 sweeps widen buckets with d (b = 2d, up to 20), past the
-            // semisort backend's b ≤ 8 limit, and measure entry-level bit efficiency
-            // rather than storage representation — pin packed so the sweeps run
-            // unchanged under the CCF_STORAGE matrix.
-            storage: ccf_cuckoo::StorageKind::Packed,
             ..CcfParams::default()
         }
     }
@@ -234,10 +229,6 @@ pub fn bit_efficiency_point_with(
         max_dupes,
         max_chain: None,
         seed,
-        // b = 2d reaches 20 in the Figure 5 sweep — beyond the semisort backend's
-        // b ≤ 8 limit — and this experiment measures entry-level bit efficiency, not
-        // storage representation; pin packed so it runs under the CCF_STORAGE matrix.
-        storage: ccf_cuckoo::StorageKind::Packed,
         ..CcfParams::default()
     };
     let mut filter = ChainedCcf::new(params);

@@ -76,7 +76,6 @@ bin_smoke_tests!(
     aggregate,
     growth_batch,
     packed_probe,
-    compressed_probe,
     sharded_throughput,
     churn,
     telemetry_report,

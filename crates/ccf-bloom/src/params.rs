@@ -105,7 +105,7 @@ pub fn cuckoo_bits_per_item(target_fpr: f64, load_factor: f64) -> f64 {
 
 /// Bits per item of a cuckoo filter with the semi-sorting optimisation:
 /// `(log2(1/ρ) + 2)/β` (§4.2).
-pub fn semisorted_cuckoo_bits_per_item(target_fpr: f64, load_factor: f64) -> f64 {
+pub fn semi_sorted_cuckoo_bits_per_item(target_fpr: f64, load_factor: f64) -> f64 {
     assert!(
         target_fpr > 0.0 && target_fpr < 1.0,
         "FPR must be in (0, 1)"
@@ -181,13 +181,13 @@ mod tests {
         // §4.2: cuckoo beats Bloom when target FPR < 0.35% at β = 95% (b = 4), and the
         // semi-sorted variant extends this to FPR < 2.5%.
         let beta = 0.95;
-        // At 0.3 %, cuckoo (without semisorting) should already be smaller.
+        // At 0.3 %, cuckoo (without semi-sorting) should already be smaller.
         assert!(cuckoo_bits_per_item(0.003, beta) < optimal_bits_per_item(0.003));
         // At 1 %, plain cuckoo is larger but the semi-sorted variant is smaller.
         assert!(cuckoo_bits_per_item(0.01, beta) > optimal_bits_per_item(0.01));
-        assert!(semisorted_cuckoo_bits_per_item(0.01, beta) < optimal_bits_per_item(0.01));
+        assert!(semi_sorted_cuckoo_bits_per_item(0.01, beta) < optimal_bits_per_item(0.01));
         // At 5 %, Bloom is smaller than both cuckoo variants.
-        assert!(optimal_bits_per_item(0.05) < semisorted_cuckoo_bits_per_item(0.05, beta));
+        assert!(optimal_bits_per_item(0.05) < semi_sorted_cuckoo_bits_per_item(0.05, beta));
     }
 
     #[test]

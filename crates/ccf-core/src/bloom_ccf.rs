@@ -375,7 +375,6 @@ impl BloomCcf {
             self.params.entries_per_bucket,
             self.params.fingerprint_bits,
             self.params.seed,
-            self.params.storage,
         );
         for bucket in 0..t.num_buckets() {
             for slot in 0..t.len(bucket) {

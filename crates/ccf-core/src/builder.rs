@@ -108,27 +108,6 @@ impl CcfBuilder {
         self
     }
 
-    /// Bucket-storage backend for the derived key-only cuckoo filters (default
-    /// packed; semisort saves [`ccf_cuckoo::semisort::bits_saved_per_entry`]`(b)`
-    /// stored bits per slot but requires `b ≤` [`ccf_cuckoo::MAX_SEMISORT_ENTRIES`],
-    /// which [`CcfBuilder::build`] validates).
-    pub fn storage(mut self, kind: ccf_cuckoo::StorageKind) -> Self {
-        self.params.storage = kind;
-        self
-    }
-
-    /// Resolve the storage backend from `CCF_STORAGE` *strictly*: unset (or empty)
-    /// keeps the packed default, but an unrecognized value is reported as
-    /// [`ParamsError::UnknownStorageEnv`] instead of the silent packed fallback the
-    /// infallible parameter-struct `Default`s use. Startup paths (the `ccf-service`
-    /// daemon, experiment harnesses) call this so a typo'd deployment environment
-    /// fails loudly at build time.
-    pub fn storage_from_env(mut self) -> Result<Self, ParamsError> {
-        self.params.storage =
-            ccf_cuckoo::StorageKind::try_from_env().map_err(|_| ParamsError::UnknownStorageEnv)?;
-        Ok(self)
-    }
-
     /// Number of attribute columns stored per row.
     pub fn num_attrs(mut self, num_attrs: usize) -> Self {
         self.params.num_attrs = num_attrs;
@@ -313,42 +292,15 @@ mod tests {
 
     #[test]
     fn max_dupes_applies_the_rule_of_thumb() {
-        // b = 2d = 10 exceeds the semisort bucket-width cap, so pin packed storage:
-        // this test is about the sizing rule, not the backend (and must pass under
-        // the CCF_STORAGE matrix).
-        let p = AnyCcf::builder()
-            .max_dupes(5)
-            .storage(ccf_cuckoo::StorageKind::Packed)
-            .build_params()
-            .unwrap();
+        let p = AnyCcf::builder().max_dupes(5).build_params().unwrap();
         assert_eq!(p.max_dupes, 5);
         assert_eq!(p.entries_per_bucket, 10);
         let p = AnyCcf::builder()
             .max_dupes(5)
             .entries_per_bucket(12)
-            .storage(ccf_cuckoo::StorageKind::Packed)
             .build_params()
             .unwrap();
         assert_eq!(p.entries_per_bucket, 12, "explicit b overrides the rule");
-    }
-
-    #[test]
-    fn semisort_storage_rejects_wide_buckets() {
-        assert_eq!(
-            AnyCcf::builder()
-                .max_dupes(5) // rule of thumb: b = 10 > MAX_SEMISORT_ENTRIES
-                .storage(ccf_cuckoo::StorageKind::Semisort)
-                .build_params()
-                .unwrap_err(),
-            ParamsError::SemisortBucketTooWide {
-                entries_per_bucket: 10
-            }
-        );
-        let p = AnyCcf::builder()
-            .storage(ccf_cuckoo::StorageKind::Semisort)
-            .build_params()
-            .unwrap();
-        assert_eq!(p.storage, ccf_cuckoo::StorageKind::Semisort);
     }
 
     #[test]

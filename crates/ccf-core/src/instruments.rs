@@ -8,7 +8,7 @@
 //! and a disabled bundle costs one branch per recorded event.
 //!
 //! Series are labelled `variant="plain|chained|bloom|mixed"` plus whatever extra
-//! labels the caller supplies (`shard`, `storage`, …). Insert and delete results are
+//! labels the caller supplies (`shard`, …). Insert and delete results are
 //! broken out by `outcome`/`kind` so conversion and refusal traffic is visible
 //! without log scraping.
 

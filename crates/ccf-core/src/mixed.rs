@@ -618,7 +618,6 @@ impl MixedCcf {
                 fingerprint_bits: self.params.fingerprint_bits,
                 seed: self.params.seed,
                 auto_grow: false,
-                storage: self.params.storage,
                 ..Default::default()
             },
         );

@@ -70,19 +70,6 @@ pub enum ParamsError {
     },
     /// A sharded service was requested with zero shards.
     ZeroShards,
-    /// Semisort storage was selected with `entries_per_bucket` above
-    /// [`ccf_cuckoo::MAX_SEMISORT_ENTRIES`] (the rank table grows combinatorially
-    /// with bucket width).
-    SemisortBucketTooWide {
-        /// The rejected entries per bucket b.
-        entries_per_bucket: usize,
-    },
-    /// `CCF_STORAGE` is set to a value no backend recognizes (strict resolution via
-    /// [`ccf_cuckoo::StorageKind::try_from_env`], used by
-    /// [`crate::CcfBuilder::storage_from_env`] and daemon startup). `ParamsError` is
-    /// `Copy`, so the offending spelling is not carried here; the detailed
-    /// [`ccf_cuckoo::UnknownStorageKind`] is reported where the variable is read.
-    UnknownStorageEnv,
 }
 
 impl std::fmt::Display for ParamsError {
@@ -132,17 +119,6 @@ impl std::fmt::Display for ParamsError {
                 write!(f, "target load factor must be in (0, 1], got {got}")
             }
             ParamsError::ZeroShards => write!(f, "a sharded filter needs at least one shard"),
-            ParamsError::SemisortBucketTooWide { entries_per_bucket } => write!(
-                f,
-                "semisort storage supports at most {} entries per bucket, got \
-                 {entries_per_bucket}; use packed storage for wider buckets",
-                ccf_cuckoo::MAX_SEMISORT_ENTRIES
-            ),
-            ParamsError::UnknownStorageEnv => write!(
-                f,
-                "CCF_STORAGE is set to an unrecognized storage backend; expected \
-                 \"packed\", \"semisort\" or \"compressed\""
-            ),
         }
     }
 }
@@ -199,12 +175,6 @@ pub struct CcfParams {
     pub auto_grow: bool,
     /// Seed for the hash family; §10.1 averages runs over random salts.
     pub seed: u64,
-    /// Which bucket-storage backend holds derived key-only filters (Algorithm 2's
-    /// predicate filters and the CCF-internal cuckoo filters). Purely
-    /// representational — membership behavior is identical across backends. Defaults
-    /// to the [`ccf_cuckoo::StorageKind::from_env`] resolution (packed unless
-    /// `CCF_STORAGE` says otherwise).
-    pub storage: ccf_cuckoo::StorageKind,
 }
 
 impl Default for CcfParams {
@@ -223,7 +193,6 @@ impl Default for CcfParams {
             small_value_opt: true,
             auto_grow: false,
             seed: 0,
-            storage: ccf_cuckoo::StorageKind::from_env(),
         }
     }
 }
@@ -371,13 +340,6 @@ impl CcfParams {
         }
         if self.max_kicks == 0 {
             return Err(ParamsError::ZeroMaxKicks);
-        }
-        if self.storage == ccf_cuckoo::StorageKind::Semisort
-            && self.entries_per_bucket > ccf_cuckoo::MAX_SEMISORT_ENTRIES
-        {
-            return Err(ParamsError::SemisortBucketTooWide {
-                entries_per_bucket: self.entries_per_bucket,
-            });
         }
         Ok(())
     }
@@ -585,16 +547,6 @@ mod tests {
                 ParamsError::ZeroMaxChain,
             ),
             (CcfParams { max_kicks: 0, ..ok }, ParamsError::ZeroMaxKicks),
-            (
-                CcfParams {
-                    storage: ccf_cuckoo::StorageKind::Semisort,
-                    entries_per_bucket: 9,
-                    ..ok
-                },
-                ParamsError::SemisortBucketTooWide {
-                    entries_per_bucket: 9,
-                },
-            ),
         ];
         for (params, expected) in cases {
             assert_eq!(params.try_validate(), Err(expected));

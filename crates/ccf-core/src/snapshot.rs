@@ -17,7 +17,6 @@
 //! draws every kick victim exactly as the never-persisted original would.
 
 use ccf_cuckoo::snapshot::{ByteReader, ByteWriter, SnapshotError};
-use ccf_cuckoo::StorageKind;
 
 use crate::params::CcfParams;
 use crate::sizing::VariantKind;
@@ -68,7 +67,9 @@ pub(crate) fn put_params(w: &mut ByteWriter, p: &CcfParams) {
     w.put_u8(u8::from(p.small_value_opt));
     w.put_u8(u8::from(p.auto_grow));
     w.put_u64(p.seed);
-    w.put_u8(p.storage.tag());
+    // The storage byte: always 0, the packed layout. It stays in the format so
+    // existing images keep loading.
+    w.put_u8(0);
 }
 
 /// Decode a parameter set written by [`put_params`]. Only structural decoding
@@ -91,8 +92,10 @@ pub(crate) fn get_params(r: &mut ByteReader<'_>) -> Result<CcfParams, SnapshotEr
     let small_value_opt = get_bool(r, "small_value_opt")?;
     let auto_grow = get_bool(r, "auto_grow")?;
     let seed = r.get_u64()?;
-    let storage = StorageKind::from_tag(r.get_u8()?)
-        .ok_or_else(|| SnapshotError::Invalid("unknown storage-backend tag".into()))?;
+    match r.get_u8()? {
+        0 => {}
+        t => return Err(SnapshotError::Invalid(format!("storage byte {t}"))),
+    }
     Ok(CcfParams {
         num_buckets,
         entries_per_bucket,
@@ -107,7 +110,6 @@ pub(crate) fn get_params(r: &mut ByteReader<'_>) -> Result<CcfParams, SnapshotEr
         small_value_opt,
         auto_grow,
         seed,
-        storage,
     })
 }
 

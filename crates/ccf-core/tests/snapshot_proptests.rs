@@ -1,12 +1,11 @@
-//! Snapshot-format properties: round-trip bit-identity across all four variants ×
-//! both storage backends (the `params.storage` leg that derived key-only filters
-//! inherit), and typed rejection of every corruption class — truncation, bit flips,
-//! wrong magic, future version, unknown variant tag.
+//! Snapshot-format properties: round-trip bit-identity across all four variants,
+//! and typed rejection of every corruption class — truncation, bit flips, wrong
+//! magic, future version, unknown variant tag, nonzero storage byte.
 
 use ccf_core::sizing::VariantKind;
 use ccf_core::{AnyCcf, CcfParams, ConditionalFilter, Predicate};
 use ccf_cuckoo::snapshot::fnv64;
-use ccf_cuckoo::{SnapshotError, StorageKind};
+use ccf_cuckoo::SnapshotError;
 use proptest::prelude::*;
 
 const VARIANTS: [VariantKind; 4] = [
@@ -16,7 +15,7 @@ const VARIANTS: [VariantKind; 4] = [
     VariantKind::Mixed,
 ];
 
-fn params(seed: u64, storage: StorageKind) -> CcfParams {
+fn params(seed: u64) -> CcfParams {
     CcfParams {
         // Small enough that skewed workloads trigger capacity-doubling growth, so
         // the round trip covers grown geometries too.
@@ -31,7 +30,6 @@ fn params(seed: u64, storage: StorageKind) -> CcfParams {
         bloom_hashes: 2,
         auto_grow: true,
         seed,
-        storage,
         ..CcfParams::default()
     }
 }
@@ -53,7 +51,7 @@ fn reseal(mut img: Vec<u8>) -> Vec<u8> {
 }
 
 fn sample_image() -> Vec<u8> {
-    let mut filter = AnyCcf::try_new(VariantKind::Mixed, params(7, StorageKind::Packed)).unwrap();
+    let mut filter = AnyCcf::try_new(VariantKind::Mixed, params(7)).unwrap();
     for k in 0..200u64 {
         let _ = filter.insert_row(k % 40, &[k % 7, k % 11]);
     }
@@ -63,55 +61,50 @@ fn sample_image() -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every variant × both backends: serialize, reload, and the reloaded filter is
-    /// bit-identical — same image bytes, same query answers, and (the strong form)
-    /// the same behaviour under *continued mutation*, because the RNG stream and
-    /// growth geometry resume exactly where the original left off.
+    /// Every variant: serialize, reload, and the reloaded filter is bit-identical —
+    /// same image bytes, same query answers, and (the strong form) the same
+    /// behaviour under *continued mutation*, because the RNG stream and growth
+    /// geometry resume exactly where the original left off.
     #[test]
-    fn round_trip_is_bit_identical_for_all_variants_and_backends(
+    fn round_trip_is_bit_identical_for_all_variants(
         seed in any::<u64>(),
         rows in rows_strategy(),
     ) {
-        for storage in [StorageKind::Packed, StorageKind::Semisort] {
-            for kind in VARIANTS {
-                let mut filter = AnyCcf::try_new(kind, params(seed, storage)).unwrap();
-                for (key, attrs) in &rows {
-                    let _ = filter.insert_row(*key, attrs);
-                }
-                let img = filter.to_snapshot_bytes();
-                let mut reloaded = AnyCcf::from_snapshot_bytes(&img)
-                    .unwrap_or_else(|e| panic!("{kind:?}/{storage}: reload failed: {e}"));
+        for kind in VARIANTS {
+            let mut filter = AnyCcf::try_new(kind, params(seed)).unwrap();
+            for (key, attrs) in &rows {
+                let _ = filter.insert_row(*key, attrs);
+            }
+            let img = filter.to_snapshot_bytes();
+            let mut reloaded = AnyCcf::from_snapshot_bytes(&img)
+                .unwrap_or_else(|e| panic!("{kind:?}: reload failed: {e}"));
+            prop_assert_eq!(
+                &img,
+                &reloaded.to_snapshot_bytes(),
+                "{:?}: reloaded image differs",
+                kind
+            );
+            for (key, attrs) in &rows {
+                let pred = Predicate::any(2).and_eq(0, attrs[0]).and_eq(1, attrs[1]);
+                prop_assert_eq!(filter.query(*key, &pred), reloaded.query(*key, &pred));
+                prop_assert_eq!(filter.contains_key(*key), reloaded.contains_key(*key));
+            }
+            for key in 5_000..5_200u64 {
+                let attrs = [key % 7, key % 11];
                 prop_assert_eq!(
-                    &img,
-                    &reloaded.to_snapshot_bytes(),
-                    "{:?}/{}: reloaded image differs",
+                    filter.insert_row(key, &attrs),
+                    reloaded.insert_row(key, &attrs),
+                    "{:?}: post-reload insert diverged at {}",
                     kind,
-                    storage
-                );
-                for (key, attrs) in &rows {
-                    let pred = Predicate::any(2).and_eq(0, attrs[0]).and_eq(1, attrs[1]);
-                    prop_assert_eq!(filter.query(*key, &pred), reloaded.query(*key, &pred));
-                    prop_assert_eq!(filter.contains_key(*key), reloaded.contains_key(*key));
-                }
-                for key in 5_000..5_200u64 {
-                    let attrs = [key % 7, key % 11];
-                    prop_assert_eq!(
-                        filter.insert_row(key, &attrs),
-                        reloaded.insert_row(key, &attrs),
-                        "{:?}/{}: post-reload insert diverged at {}",
-                        kind,
-                        storage,
-                        key
-                    );
-                }
-                prop_assert_eq!(
-                    &filter.to_snapshot_bytes(),
-                    &reloaded.to_snapshot_bytes(),
-                    "{:?}/{}: states diverged after post-reload mutation",
-                    kind,
-                    storage
+                    key
                 );
             }
+            prop_assert_eq!(
+                &filter.to_snapshot_bytes(),
+                &reloaded.to_snapshot_bytes(),
+                "{:?}: states diverged after post-reload mutation",
+                kind
+            );
         }
     }
 
@@ -187,4 +180,25 @@ fn unsealed_checksum_mutation_reports_checksum_mismatch() {
         AnyCcf::from_snapshot_bytes(&img),
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
+}
+
+/// Offset of the params block's storage byte in [`sample_image`]: the 5-byte
+/// envelope header, the variant tag, then the params fields in the order the codec
+/// writes them (`max_chain` is `Some`, so its flag byte is followed by the value).
+const STORAGE_BYTE: usize = 5 + 1 + 8 + 8 + 4 + 4 + 8 + 8 + (1 + 8) + 8 + 8 + 8 + 1 + 1 + 8;
+
+#[test]
+fn nonzero_storage_byte_is_a_typed_error() {
+    let mut img = sample_image();
+    assert_eq!(
+        img[STORAGE_BYTE], 0,
+        "only the packed layout is ever written"
+    );
+    // 1 marked an image whose derived filters used the retired compressed layout.
+    img[STORAGE_BYTE] = 1;
+    let img = reseal(img);
+    match AnyCcf::from_snapshot_bytes(&img) {
+        Err(SnapshotError::Invalid(msg)) => assert!(msg.contains("storage"), "{msg}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
 }

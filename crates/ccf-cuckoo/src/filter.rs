@@ -35,8 +35,8 @@ use rand::{Rng, SeedableRng};
 use crate::geometry::{probe_chunked, SplitGeometry, MAX_GROWTHS_PER_INSERT};
 use crate::instruments::FilterInstruments;
 use crate::metrics::{GrowthStats, OccupancyStats};
+use crate::packed::PackedBuckets;
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
-use crate::store::{AnyBuckets, BucketStore, StorageKind};
 
 /// Default maximum number of kick (evict-and-reinsert) rounds before an insertion
 /// fails, matching the constant used by the original cuckoo-filter implementation.
@@ -60,11 +60,6 @@ pub struct CuckooFilterParams {
     /// bucket pair saturated with copies of one fingerprint (which no amount of growth
     /// can separate — the §4.3 duplicate cap still applies).
     pub auto_grow: bool,
-    /// Which bucket-storage backend holds the fingerprints. Purely representational:
-    /// membership behavior is identical across backends. Defaults to the
-    /// [`StorageKind::from_env`] resolution (packed unless `CCF_STORAGE` says
-    /// otherwise), which is how CI runs the whole suite against both backends.
-    pub storage: StorageKind,
     /// Maximum kick (evict-and-reinsert) rounds per placement attempt before the
     /// insertion is reported as failed (default [`MAX_KICKS`]; must be positive).
     /// Bounded configs make kick-depth telemetry directly checkable: every recorded
@@ -80,7 +75,6 @@ impl Default for CuckooFilterParams {
             fingerprint_bits: 12,
             seed: 0,
             auto_grow: false,
-            storage: StorageKind::from_env(),
             max_kicks: MAX_KICKS,
         }
     }
@@ -102,7 +96,6 @@ impl CuckooFilterParams {
             fingerprint_bits,
             seed,
             auto_grow: false,
-            storage: StorageKind::from_env(),
             max_kicks: MAX_KICKS,
         }
     }
@@ -110,12 +103,6 @@ impl CuckooFilterParams {
     /// Enable transparent grow-and-retry on insertion failure.
     pub fn with_auto_grow(mut self) -> Self {
         self.auto_grow = true;
-        self
-    }
-
-    /// Select the bucket-storage backend.
-    pub fn with_storage(mut self, storage: StorageKind) -> Self {
-        self.storage = storage;
         self
     }
 
@@ -158,10 +145,9 @@ impl std::error::Error for InsertError {}
 /// A standard partial-key cuckoo filter over `u64` keys.
 #[derive(Debug, Clone)]
 pub struct CuckooFilter {
-    /// All `m · b` fingerprint slots in the configured backend — bit-packed lanes or
-    /// semisort-compressed records — with maintained occupancy counters (which also
-    /// replace the old per-filter item counter).
-    store: AnyBuckets,
+    /// All `m · b` fingerprint slots as bit-packed lanes, with maintained occupancy
+    /// counters (which also replace the old per-filter item counter).
+    store: PackedBuckets,
     /// `num_buckets - 1`; sanitizes caller-supplied bucket indices.
     bucket_mask: usize,
     /// Split bucket geometry: base size, growth bits and the index-derivation hashes.
@@ -187,14 +173,12 @@ impl CuckooFilter {
     }
 
     /// Create an empty filter with explicit geometry (used by Algorithm 2, which builds
-    /// a filter with the *same* `(m, b)` dimensions — and storage backend — as the CCF
-    /// it is derived from).
+    /// a filter with the *same* `(m, b)` dimensions as the CCF it is derived from).
     pub fn with_geometry(
         num_buckets: usize,
         entries_per_bucket: usize,
         fingerprint_bits: u32,
         seed: u64,
-        storage: StorageKind,
     ) -> Self {
         Self::new(CuckooFilterParams {
             num_buckets,
@@ -202,7 +186,6 @@ impl CuckooFilter {
             fingerprint_bits,
             seed,
             auto_grow: false,
-            storage,
             max_kicks: MAX_KICKS,
         })
     }
@@ -226,7 +209,7 @@ impl CuckooFilter {
         let geometry = SplitGeometry::new(&family, base_buckets, growth_bits);
         let num_buckets = geometry.num_buckets();
         Self {
-            store: AnyBuckets::new(params.storage, num_buckets, params.entries_per_bucket),
+            store: PackedBuckets::new(num_buckets, params.entries_per_bucket),
             bucket_mask: num_buckets - 1,
             entries_per_bucket: params.entries_per_bucket,
             fingerprinter: Fingerprinter::new(&family, params.fingerprint_bits),
@@ -244,7 +227,7 @@ impl CuckooFilter {
 
     /// Resolve this filter's event instruments against `telemetry`, labelling its
     /// series `structure="cuckoo_filter"` plus the caller's `extra` labels (`shard`,
-    /// `storage`, …). Attaching a [`Telemetry::disabled`] handle detaches the filter.
+    /// …). Attaching a [`Telemetry::disabled`] handle detaches the filter.
     /// Until attached, every recording site costs one branch.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry, extra: &[(&str, &str)]) {
         self.instruments = FilterInstruments::resolve(telemetry, "cuckoo_filter", extra);
@@ -311,11 +294,6 @@ impl CuckooFilter {
     /// Serialized size in bits: `m · b · |κ|`.
     pub fn size_bits(&self) -> usize {
         self.capacity() * self.params.fingerprint_bits as usize
-    }
-
-    /// Which bucket-storage backend holds this filter's fingerprints.
-    pub fn storage_kind(&self) -> StorageKind {
-        self.store.kind()
     }
 
     /// Occupancy statistics (used by the experiment harness) — aggregated from the
@@ -595,22 +573,23 @@ impl CuckooFilter {
         occupied_pair * 2f64.powi(-(self.params.fingerprint_bits as i32))
     }
 
-    /// Expose the fingerprint store for size/occupancy analysis and storage-backend
-    /// experiments.
-    pub fn store(&self) -> &AnyBuckets {
+    /// Expose the fingerprint store for size/occupancy analysis.
+    pub fn store(&self) -> &PackedBuckets {
         &self.store
     }
 
     /// Serialize the filter into a sealed snapshot image (see [`crate::snapshot`]):
     /// configuration, split geometry, the RNG's exact state, and the raw storage
-    /// words of whichever backend is in use. [`CuckooFilter::from_snapshot_bytes`]
+    /// words. [`CuckooFilter::from_snapshot_bytes`]
     /// rebuilds a *bit-identical* filter — every post-restore membership answer,
     /// kick-victim draw, and growth decision matches the never-persisted original.
     /// Telemetry attachment is process state, not filter state, and is not
     /// persisted; reloaded filters start detached.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new(Self::SNAPSHOT_MAGIC, Self::SNAPSHOT_VERSION);
-        w.put_u8(self.store.kind().tag());
+        // The storage byte: always 0, the packed layout. It stays in the format so
+        // existing images keep loading.
+        w.put_u8(0);
         w.put_usize(self.geometry.base_buckets());
         w.put_u32(self.geometry.growth_bits());
         w.put_usize(self.entries_per_bucket);
@@ -634,8 +613,10 @@ impl CuckooFilter {
     /// silently wrong filter.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::open(bytes, Self::SNAPSHOT_MAGIC, Self::SNAPSHOT_VERSION)?;
-        let storage = StorageKind::from_tag(r.get_u8()?)
-            .ok_or_else(|| SnapshotError::Invalid("unknown storage-backend tag".into()))?;
+        match r.get_u8()? {
+            0 => {}
+            t => return Err(SnapshotError::Invalid(format!("storage byte {t}"))),
+        }
         let base_buckets = r.get_usize()?;
         let growth_bits = r.get_u32()?;
         let entries_per_bucket = r.get_usize()?;
@@ -681,10 +662,9 @@ impl CuckooFilter {
             return Err(SnapshotError::Invalid("max_kicks is zero".into()));
         }
         // Validate the storage image (including the bucket width) *before* building
-        // the filter shell: `with_split_geometry` asserts on widths the backend
-        // cannot represent, and a corrupt image must fail typed, not panic.
-        let store =
-            AnyBuckets::from_raw_parts(storage, num_buckets, entries_per_bucket, words, counts)?;
+        // the filter shell: `with_split_geometry` asserts on widths the store cannot
+        // represent, and a corrupt image must fail typed, not panic.
+        let store = PackedBuckets::from_raw_parts(num_buckets, entries_per_bucket, words, counts)?;
         let mut filter = Self::with_split_geometry(
             base_buckets,
             growth_bits,
@@ -694,7 +674,6 @@ impl CuckooFilter {
                 fingerprint_bits,
                 seed,
                 auto_grow,
-                storage,
                 max_kicks,
             },
         );
@@ -725,9 +704,6 @@ mod tests {
     use super::*;
 
     fn small_params(seed: u64) -> CuckooFilterParams {
-        // `..Default::default()` picks up the storage backend from the environment,
-        // so `CCF_STORAGE=semisort` runs this whole suite against the compressed
-        // store (the CI storage matrix).
         CuckooFilterParams {
             num_buckets: 1 << 10,
             seed,
@@ -1177,32 +1153,46 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
-        for storage in [StorageKind::Packed, StorageKind::Semisort] {
-            let mut f = CuckooFilter::new(small_params(77).with_storage(storage).with_auto_grow());
-            for k in 0..6000u64 {
-                f.insert(k).unwrap();
-            }
-            for k in (0..6000u64).step_by(3) {
-                assert!(f.delete(k));
-            }
-            let mut reloaded = CuckooFilter::from_snapshot_bytes(&f.to_snapshot_bytes()).unwrap();
-            assert_eq!(reloaded.store(), f.store(), "{storage}: stores diverge");
-            assert_eq!(reloaded.params(), f.params());
-            assert_eq!(reloaded.growth_bits(), f.growth_bits());
-            // Bit-identity must survive *post-restore mutation*: the RNG stream and
-            // geometry continue exactly where the original left off.
-            for k in 10_000..12_000u64 {
-                assert_eq!(f.insert(k).is_ok(), reloaded.insert(k).is_ok());
-            }
-            for k in 0..14_000u64 {
-                assert_eq!(f.contains(k), reloaded.contains(k), "{storage}: key {k}");
-            }
-            assert_eq!(
-                reloaded.store(),
-                f.store(),
-                "{storage}: post-mutation drift"
-            );
+        let mut f = CuckooFilter::new(small_params(77).with_auto_grow());
+        for k in 0..6000u64 {
+            f.insert(k).unwrap();
         }
+        for k in (0..6000u64).step_by(3) {
+            assert!(f.delete(k));
+        }
+        let mut reloaded = CuckooFilter::from_snapshot_bytes(&f.to_snapshot_bytes()).unwrap();
+        assert_eq!(reloaded.store(), f.store(), "stores diverge");
+        assert_eq!(reloaded.params(), f.params());
+        assert_eq!(reloaded.growth_bits(), f.growth_bits());
+        // Bit-identity must survive *post-restore mutation*: the RNG stream and
+        // geometry continue exactly where the original left off.
+        for k in 10_000..12_000u64 {
+            assert_eq!(f.insert(k).is_ok(), reloaded.insert(k).is_ok());
+        }
+        for k in 0..14_000u64 {
+            assert_eq!(f.contains(k), reloaded.contains(k), "key {k}");
+        }
+        assert_eq!(reloaded.store(), f.store(), "post-mutation drift");
+    }
+
+    #[test]
+    fn snapshot_with_nonzero_storage_byte_is_a_typed_error() {
+        let mut f = CuckooFilter::new(small_params(5));
+        for k in 0..100u64 {
+            f.insert(k).unwrap();
+        }
+        let mut img = f.to_snapshot_bytes();
+        // The storage byte sits straight after the 5-byte envelope header; 1 marked
+        // an image of the retired compressed bucket layout.
+        assert_eq!(img[5], 0);
+        img[5] = 1;
+        let body = img.len() - 8;
+        let checksum = crate::snapshot::fnv64(&img[..body]);
+        img[body..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            CuckooFilter::from_snapshot_bytes(&img),
+            Err(SnapshotError::Invalid(_))
+        ));
     }
 
     #[test]

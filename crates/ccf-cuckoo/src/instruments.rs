@@ -8,7 +8,7 @@
 //! one branch per recorded event.
 //!
 //! All series share metric names and are distinguished by a `structure` label (plus
-//! whatever labels the caller adds: `variant`, `shard`, `storage`, …), so one
+//! whatever labels the caller adds: `variant`, `shard`, …), so one
 //! exposition shows the kick-depth distribution of every cuckoo structure in a
 //! process side by side.
 

@@ -17,11 +17,6 @@
 //! * [`packed`] — the bit-packed contiguous fingerprint store behind
 //!   [`CuckooFilter`]: all `m·b` slots in one `Vec<u64>`, SWAR whole-bucket
 //!   compares, O(1) maintained occupancy counters.
-//! * [`semisort`] — the semi-sorting encoding of §4.2: the rank codec behind the
-//!   bit-efficiency analysis (Figure 5) and [`SemisortBuckets`], the compressed
-//!   bucket store built on it.
-//! * [`store`] — the [`BucketStore`] abstraction over the two bucket backends and
-//!   the [`StorageKind`] runtime selector threaded through the filter stack.
 //! * [`geometry`] — the split bucket geometry that makes partial-key structures
 //!   growable without their original keys, shared with the CCF variants upstream.
 //! * [`metrics`] — occupancy / load-factor accounting shared by the experiments.
@@ -38,20 +33,13 @@ pub mod geometry;
 pub mod instruments;
 pub mod metrics;
 pub mod packed;
-pub mod semisort;
 pub mod snapshot;
-pub mod store;
 pub mod table;
 
 pub use filter::{CuckooFilter, CuckooFilterParams, InsertError, MAX_KICKS};
 pub use geometry::SplitGeometry;
 pub use instruments::FilterInstruments;
 pub use metrics::{GrowthStats, OccupancyStats};
-pub use packed::PackedBuckets;
-pub use semisort::SemisortBuckets;
+pub use packed::{PackedBuckets, StoreImportError};
 pub use snapshot::{ByteReader, ByteWriter, SnapshotError};
-pub use store::{
-    AnyBuckets, BucketStore, StorageKind, StoreImportError, UnknownStorageKind,
-    MAX_SEMISORT_ENTRIES,
-};
 pub use table::CuckooHashTable;

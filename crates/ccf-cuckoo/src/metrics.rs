@@ -42,8 +42,7 @@ pub struct OccupancyStats {
     /// Number of completely empty buckets.
     pub empty_buckets: usize,
     /// Actual allocated bytes of the underlying storage (0 when the producer does not
-    /// track allocation, e.g. stats built directly from raw counts). This is what
-    /// makes the packed-vs-semisort memory saving observable rather than theoretical.
+    /// track allocation, e.g. stats built directly from raw counts).
     pub heap_bytes: usize,
 }
 
@@ -86,8 +85,7 @@ impl OccupancyStats {
     }
 
     /// Stored bits per entry slot: `heap_bytes · 8 / capacity` (0 when allocation is
-    /// untracked or the structure is empty of slots). The figure the semisort backend
-    /// lowers by [`crate::semisort::bits_saved_per_entry`].
+    /// untracked or the structure is empty of slots).
     pub fn stored_bits_per_entry(&self) -> f64 {
         if self.capacity() == 0 {
             0.0

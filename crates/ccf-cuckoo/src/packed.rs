@@ -347,8 +347,8 @@ impl PackedBuckets {
             .filter(|&fp| fp != 0)
     }
 
-    /// The raw slots of `bucket` including empties, in slot order (used by snapshots,
-    /// semi-sorting analysis and tests).
+    /// The raw slots of `bucket` including empties, in slot order (used by snapshots
+    /// and tests).
     pub fn bucket_slots(&self, bucket: usize) -> Vec<u16> {
         (0..self.entries_per_bucket)
             .map(|s| self.get(bucket, s))
@@ -394,8 +394,7 @@ impl PackedBuckets {
         entries_per_bucket: usize,
         words: Vec<u64>,
         counts: Vec<u8>,
-    ) -> Result<Self, crate::store::StoreImportError> {
-        use crate::store::StoreImportError;
+    ) -> Result<Self, StoreImportError> {
         if entries_per_bucket == 0 || entries_per_bucket > u8::MAX as usize {
             return Err(StoreImportError::UnsupportedBucketWidth { entries_per_bucket });
         }
@@ -444,9 +443,143 @@ impl PackedBuckets {
     }
 }
 
+/// Why a raw-word storage image could not be imported. Every variant names the exact
+/// structural inconsistency, so snapshot loaders can distinguish a truncated file from
+/// a counter that disagrees with the words it summarizes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreImportError {
+    /// The word array's length does not match the bucket geometry.
+    WordLenMismatch {
+        /// Words required by `num_buckets · words_per_bucket` (plus padding, if any).
+        expected: usize,
+        /// Words supplied.
+        got: usize,
+    },
+    /// The occupancy-counter array's length does not equal the bucket count.
+    CountLenMismatch {
+        /// `num_buckets`.
+        expected: usize,
+        /// Counters supplied.
+        got: usize,
+    },
+    /// A per-bucket counter exceeds the bucket's slot capacity.
+    CountOutOfRange {
+        /// The offending bucket index.
+        bucket: usize,
+        /// The counter value.
+        got: u8,
+        /// Slots per bucket.
+        max: usize,
+    },
+    /// A counter disagrees with the occupancy derived from the raw words themselves
+    /// (a corrupted image whose lengths happen to line up).
+    OccupancyMismatch {
+        /// The first disagreeing bucket.
+        bucket: usize,
+        /// The stored counter.
+        stored: usize,
+        /// Occupancy recounted from the words.
+        derived: usize,
+    },
+    /// `entries_per_bucket` is outside the supported `1..=255` range.
+    UnsupportedBucketWidth {
+        /// The rejected width.
+        entries_per_bucket: usize,
+    },
+}
+
+impl std::fmt::Display for StoreImportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreImportError::WordLenMismatch { expected, got } => {
+                write!(
+                    f,
+                    "storage image has {got} words, geometry needs {expected}"
+                )
+            }
+            StoreImportError::CountLenMismatch { expected, got } => {
+                write!(f, "storage image has {got} counters for {expected} buckets")
+            }
+            StoreImportError::CountOutOfRange { bucket, got, max } => write!(
+                f,
+                "bucket {bucket} claims {got} occupied slots but holds at most {max}"
+            ),
+            StoreImportError::OccupancyMismatch {
+                bucket,
+                stored,
+                derived,
+            } => write!(
+                f,
+                "bucket {bucket} counter says {stored} occupied slots, raw words say {derived}"
+            ),
+            StoreImportError::UnsupportedBucketWidth { entries_per_bucket } => write!(
+                f,
+                "entries_per_bucket {entries_per_bucket} is outside the supported range"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StoreImportError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn raw_round_trip_rebuilds_identical_stores() {
+        let mut b = PackedBuckets::new(8, 4);
+        for fp in [3u16, 9, 0xFFF, 3] {
+            assert!(b.try_insert(usize::from(fp) % 8, fp));
+        }
+        let rebuilt =
+            PackedBuckets::from_raw_parts(8, 4, b.raw_words().to_vec(), b.counts().to_vec())
+                .unwrap();
+        assert_eq!(rebuilt, b);
+    }
+
+    #[test]
+    fn raw_import_rejects_inconsistent_images() {
+        let b = PackedBuckets::new(8, 4);
+        let words = b.raw_words().to_vec();
+        let counts = b.counts().to_vec();
+        assert!(matches!(
+            PackedBuckets::from_raw_parts(8, 4, words[1..].to_vec(), counts.clone()),
+            Err(StoreImportError::WordLenMismatch { .. })
+        ));
+        assert!(matches!(
+            PackedBuckets::from_raw_parts(8, 4, words.clone(), counts[1..].to_vec()),
+            Err(StoreImportError::CountLenMismatch { .. })
+        ));
+        let mut high = counts.clone();
+        high[0] = 5;
+        assert!(matches!(
+            PackedBuckets::from_raw_parts(8, 4, words.clone(), high),
+            Err(StoreImportError::CountOutOfRange {
+                bucket: 0,
+                got: 5,
+                max: 4
+            })
+        ));
+        // A counter claiming an occupant the words don't contain is caught by the
+        // recount cross-check.
+        let mut lying = counts.clone();
+        lying[3] = 1;
+        assert!(matches!(
+            PackedBuckets::from_raw_parts(8, 4, words.clone(), lying),
+            Err(StoreImportError::OccupancyMismatch {
+                bucket: 3,
+                stored: 1,
+                derived: 0
+            })
+        ));
+        assert!(matches!(
+            PackedBuckets::from_raw_parts(8, 0, vec![], counts),
+            Err(StoreImportError::UnsupportedBucketWidth {
+                entries_per_bucket: 0
+            })
+        ));
+    }
 
     #[test]
     fn insert_until_full() {

@@ -13,7 +13,7 @@
 //! no framing cleverness. Snapshot size is dominated by the raw storage words, which
 //! are already bit-packed by the store itself.
 
-use crate::store::StoreImportError;
+use crate::packed::StoreImportError;
 
 /// Why a snapshot image could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,9 +1,6 @@
 //! Property-based tests for the cuckoo filter and cuckoo hash table substrate.
 
-use ccf_cuckoo::semisort::{decode_prefixes, encode_prefixes, multiset_count};
-use ccf_cuckoo::{
-    BucketStore, CuckooFilter, CuckooFilterParams, CuckooHashTable, PackedBuckets, SemisortBuckets,
-};
+use ccf_cuckoo::{CuckooFilter, CuckooFilterParams, CuckooHashTable, PackedBuckets};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -86,89 +83,6 @@ proptest! {
         prop_assert_eq!(table.len(), model.len());
         for (&k, v) in &model {
             prop_assert_eq!(table.get(k), Some(v));
-        }
-    }
-
-    /// Semi-sorting encode/decode round-trips the sorted 4-bit prefixes of any bucket.
-    #[test]
-    fn semisort_roundtrips(fingerprints in proptest::collection::vec(any::<u16>(), 1..8)) {
-        let (rank, sorted) = encode_prefixes(&fingerprints);
-        let decoded = decode_prefixes(rank, fingerprints.len());
-        prop_assert_eq!(sorted, decoded);
-    }
-
-    /// `SemisortBuckets` never drifts from a `PackedBuckets` shadow under arbitrary
-    /// insert / remove / take / swap / extend churn. The backends arrange slots
-    /// differently (packed preserves them, semisort re-canonicalizes), so the shadow
-    /// mirrors mutations *by value* and the invariant compared is the per-bucket
-    /// fingerprint multiset plus all maintained counters.
-    #[test]
-    fn semisort_never_drifts_from_a_packed_shadow(
-        entries_per_bucket in 1usize..9,
-        ops in proptest::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 1..300),
-    ) {
-        let mut semi = SemisortBuckets::new(4, entries_per_bucket);
-        let mut packed = PackedBuckets::new(4, entries_per_bucket);
-        for (op, a, b) in ops {
-            let bucket = usize::from(a) % semi.num_buckets();
-            let fp = b.max(1); // never 0: κ = 0 is the empty-slot marker
-            match op {
-                0 => {
-                    prop_assert_eq!(
-                        semi.try_insert(bucket, fp),
-                        packed.try_insert(bucket, fp),
-                        "insert outcomes diverged"
-                    );
-                }
-                1 => {
-                    prop_assert_eq!(
-                        semi.remove_one(bucket, fp),
-                        packed.remove_one(bucket, fp),
-                        "remove outcomes diverged"
-                    );
-                }
-                2 => {
-                    // Take whatever semisort holds at this slot; the packed shadow
-                    // removes the same value (its slot arrangement differs).
-                    let slot = usize::from(b) % entries_per_bucket;
-                    let taken = semi.take(bucket, slot);
-                    if taken != 0 {
-                        prop_assert!(packed.remove_one(bucket, taken));
-                    }
-                }
-                3 => {
-                    let slot = usize::from(b) % entries_per_bucket;
-                    let victim = semi.swap(bucket, slot, fp);
-                    if victim != 0 {
-                        prop_assert!(packed.remove_one(bucket, victim));
-                    }
-                    prop_assert!(packed.try_insert(bucket, fp));
-                }
-                _ => {
-                    if semi.num_buckets() < 32 {
-                        semi.extend_buckets(semi.num_buckets());
-                        packed.extend_buckets(packed.num_buckets());
-                    }
-                }
-            }
-            prop_assert_eq!(semi.occupied(), packed.occupied(), "total counters diverged");
-            prop_assert_eq!(semi.counts(), packed.counts(), "per-bucket counters diverged");
-            let (semi_total, semi_per_bucket) = semi.recount();
-            prop_assert_eq!(semi_total, semi.occupied(), "semisort counters drifted");
-            prop_assert_eq!(&semi_per_bucket, &packed.recount().1);
-            for bkt in 0..semi.num_buckets() {
-                let mut s: Vec<u16> =
-                    semi.bucket_slots(bkt).into_iter().filter(|&x| x != 0).collect();
-                let mut p: Vec<u16> =
-                    packed.bucket_slots(bkt).into_iter().filter(|&x| x != 0).collect();
-                s.sort_unstable();
-                p.sort_unstable();
-                prop_assert_eq!(s, p, "bucket {} multisets diverged", bkt);
-            }
-            // Spot-check the probe kernels agree on the touched fingerprint.
-            for bkt in 0..semi.num_buckets() {
-                prop_assert_eq!(semi.contains(bkt, fp), packed.contains(bkt, fp));
-            }
         }
     }
 
@@ -295,36 +209,6 @@ proptest! {
         }
         prop_assert!(f.count(42) <= 8);
         prop_assert_eq!(f.count(42), ok);
-    }
-}
-
-/// The encode/decode pair round-trips **every** multiset rank for the bucket widths
-/// the ISSUE calls out (b ∈ {2, 4, 8}). Multisets are enumerated with the cheap
-/// lexicographic successor rather than per-rank decoding alone, so the sweep also
-/// pins the enumeration order the precomputed codec tables rely on.
-#[test]
-fn semisort_roundtrips_every_rank_for_paper_bucket_widths() {
-    for b in [2usize, 4, 8] {
-        let rank_count = multiset_count(16, b);
-        let mut cur = vec![0u16; b];
-        for rank in 0..rank_count {
-            let (encoded, sorted) = encode_prefixes(&cur);
-            assert_eq!(
-                encoded, rank,
-                "b={b}: enumeration order disagrees with rank"
-            );
-            assert_eq!(sorted, cur, "b={b}: canonical form changed under encode");
-            assert_eq!(decode_prefixes(rank, b), cur, "b={b} rank={rank}");
-            // Lexicographic successor: bump the last position below 15 and copy the
-            // new value into every later position.
-            if let Some(bump) = cur.iter().rposition(|&v| v < 15) {
-                cur[bump] += 1;
-                let v = cur[bump];
-                cur[bump + 1..].fill(v);
-            } else {
-                assert_eq!(rank, rank_count - 1, "b={b}: enumeration ended early");
-            }
-        }
     }
 }
 

@@ -87,8 +87,6 @@ pub struct FilterConfig {
     pub bloom_hashes: usize,
     /// Maximum duplicates per bucket pair, d.
     pub max_dupes: usize,
-    /// Bucket storage backend for the CCFs and the key-only baseline filters.
-    pub storage: ccf_cuckoo::StorageKind,
     /// Hash seed.
     pub seed: u64,
 }
@@ -104,7 +102,6 @@ impl FilterConfig {
             bloom_bits: 24,
             bloom_hashes: 4,
             max_dupes: 3,
-            storage: ccf_cuckoo::StorageKind::from_env(),
             seed: 0xCCF,
         }
     }
@@ -119,7 +116,6 @@ impl FilterConfig {
             bloom_bits: 8,
             bloom_hashes: 2,
             max_dupes: 3,
-            storage: ccf_cuckoo::StorageKind::from_env(),
             seed: 0xCCF,
         }
     }
@@ -137,7 +133,6 @@ impl FilterConfig {
             num_attrs: spec.columns.len(),
             max_chain: None,
             small_value_opt: true,
-            storage: self.storage,
             seed: self.seed ^ (table.id as u64) << 8,
             ..CcfParams::default()
         };
@@ -218,14 +213,11 @@ impl FilterBank {
         let mut distinct_keys: Vec<u64> = table.join_keys.clone();
         distinct_keys.sort_unstable();
         distinct_keys.dedup();
-        let mut key_filter = CuckooFilter::new(
-            CuckooFilterParams::for_capacity(
-                distinct_keys.len(),
-                config.fingerprint_bits,
-                config.seed ^ 0xBA5E,
-            )
-            .with_storage(config.storage),
-        );
+        let mut key_filter = CuckooFilter::new(CuckooFilterParams::for_capacity(
+            distinct_keys.len(),
+            config.fingerprint_bits,
+            config.seed ^ 0xBA5E,
+        ));
         if telemetry.is_enabled() {
             key_filter.attach_telemetry(telemetry, &labels);
         }

@@ -9,9 +9,8 @@
 //!
 //! `id` is required; everything else defaults sensibly. `shards=1` (the default)
 //! hosts a single [`ccf_core::AnyCcf`]; more hosts a [`ccf_shard::ShardedCcf`].
-//! Filter construction goes through [`ccf_core::CcfBuilder`], including
-//! [`ccf_core::CcfBuilder::storage_from_env`] — an unrecognized `CCF_STORAGE`
-//! spelling is a typed startup error, not a silent fallback.
+//! Filter construction goes through [`ccf_core::CcfBuilder`], so an invalid
+//! parameter combination is a typed startup error.
 
 use ccf_core::{CcfBuilder, CcfParams, VariantKind};
 
@@ -97,10 +96,7 @@ impl TenantSpec {
             .variant(variant)
             .num_buckets(buckets)
             .num_attrs(attrs)
-            .seed(seed)
-            // Strict env resolution: a typo'd CCF_STORAGE aborts startup with a typed
-            // error instead of silently serving from the default backend.
-            .storage_from_env()?;
+            .seed(seed);
         if grow {
             builder = builder.auto_grow();
         }

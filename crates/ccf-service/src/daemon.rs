@@ -5,8 +5,8 @@
 //!
 //! 1. **Startup** — each tenant warm-loads from the snapshot directory if a sealed
 //!    image is present (bit-identical reload), else starts empty from its spec.
-//!    Startup fails typed — bad `CCF_STORAGE`, bad specs and corrupt snapshots all
-//!    surface as [`ServiceError`]s before the listener binds.
+//!    Startup fails typed — bad specs and corrupt snapshots both surface as
+//!    [`ServiceError`]s before the listener binds.
 //! 2. **Serving** — each accepted connection gets a thread; frames are served in
 //!    order per connection. Malformed frames get an error response where possible
 //!    and close only that connection; the daemon never panics or hangs on garbage.

@@ -10,7 +10,7 @@
 //!   (the default everywhere) costs exactly one branch per operation and allocates
 //!   nothing.
 //! * [`Registry`] — named instruments with label support (`variant`, `shard`,
-//!   `storage`, …), deduplicated by `(name, labels)` so independently attached
+//!   …), deduplicated by `(name, labels)` so independently attached
 //!   components share series.
 //! * [`Snapshot`] — a plain-data capture of every registered series with
 //!   [`Snapshot::diff`] semantics for before/after measurements.

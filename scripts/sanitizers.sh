@@ -4,9 +4,8 @@
 #   scripts/sanitizers.sh tsan   ThreadSanitizer over the ccf-shard and
 #                                ccf-telemetry test suites (the two crates with
 #                                real cross-thread mutation).
-#   scripts/sanitizers.sh miri   Miri over ccf-cuckoo's packed/semisort store
-#                                suites (the bit-twiddling kernels most likely
-#                                to hide UB).
+#   scripts/sanitizers.sh miri   Miri over ccf-cuckoo's packed store suite (the
+#                                bit-twiddling kernels most likely to hide UB).
 #
 # Both lanes need a nightly toolchain with extra components (rust-src for
 # -Zbuild-std, miri for miri). They DETECT what is installed and skip
@@ -56,14 +55,12 @@ miri)
         echo "sanitizers[miri]: skipped — nightly miri component not installed"
         exit 0
     fi
-    echo "sanitizers[miri]: Miri over ccf-cuckoo packed/semisort store suites"
-    # Library unit tests only: the store kernels (bit-packing, SWAR probe,
-    # semisort codec) live in-crate, and Miri cannot run the process-spawning
-    # integration suites anyway. Filters keep the runtime in minutes.
+    echo "sanitizers[miri]: Miri over the ccf-cuckoo packed store suite"
+    # Library unit tests only: the store kernels (bit-packing, SWAR probe) live
+    # in-crate, and Miri cannot run the process-spawning integration suites
+    # anyway. The filter keeps the runtime in minutes.
     MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance}" \
         cargo +nightly miri test -q -p ccf-cuckoo --lib packed
-    MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance}" \
-        cargo +nightly miri test -q -p ccf-cuckoo --lib semisort
     ;;
 esac
 echo "sanitizers[$mode]: done"

@@ -17,9 +17,7 @@ use conditional_cuckoo_filters::ccf::sizing::VariantKind;
 use conditional_cuckoo_filters::ccf::{
     AnyCcf, CcfParams, ConditionalFilter, DeleteFailure, InsertOutcome, Predicate,
 };
-use conditional_cuckoo_filters::cuckoo::{
-    CuckooFilter, CuckooFilterParams, StorageKind, MAX_KICKS,
-};
+use conditional_cuckoo_filters::cuckoo::{CuckooFilter, CuckooFilterParams, MAX_KICKS};
 use conditional_cuckoo_filters::shard::ShardedCcf;
 
 /// FNV-style fold of one event bit into the stream digest.
@@ -172,18 +170,12 @@ const GOLDEN_CUCKOO_DIGEST: u64 = 0xE5FA896E29FD7FAA;
 
 #[test]
 fn cuckoo_filter_stream_is_bit_identical_to_the_word_sized_layout() {
-    // Storage is pinned to packed regardless of the `CCF_STORAGE` matrix: the golden
-    // digest folds *per-bucket* occupancy (full/empty bucket counts), and while both
-    // backends answer every membership question identically, their kick loops evict
-    // different victims (semisort buckets re-canonicalize slot order), so bucket-level
-    // occupancy distributions legitimately differ between backends.
     let mut f = CuckooFilter::new(CuckooFilterParams {
         num_buckets: 1 << 9,
         entries_per_bucket: 4,
         fingerprint_bits: 12,
         seed: 0xBEEF,
         auto_grow: false,
-        storage: StorageKind::Packed,
         max_kicks: MAX_KICKS,
     });
     let mut digest = 0xCBF29CE484222325u64;
@@ -277,13 +269,8 @@ fn second_phase_rows() -> Vec<(u64, [u64; 2])> {
 /// answer/occupancy digest and the FNV-1a digest of the `AnyCcf` snapshot image (the
 /// daemon's on-disk format), which records every slot in order.
 fn slot_order_digests(kind: VariantKind) -> (u64, u64) {
-    let params = CcfParams {
-        // Pinned: the storage tag is part of the snapshot image.
-        storage: StorageKind::Packed,
-        ..variant_params()
-    };
     let pred = Predicate::any(2).and_eq(0, 1013);
-    let mut f = AnyCcf::new(kind, params);
+    let mut f = AnyCcf::new(kind, variant_params());
     let mut digest = 0xCBF29CE484222325u64;
     for (k, attrs) in rows().iter().take(1500) {
         fold_insert(&mut digest, &f.insert_row(*k, attrs));
