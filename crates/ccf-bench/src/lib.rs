@@ -3,8 +3,8 @@
 //! Each figure/table has a binary in `src/bin/` that prints the corresponding rows or
 //! series (see EXPERIMENTS.md at the repository root for the index and the recorded
 //! results); the heavy lifting lives here so the binaries stay thin and the logic is
-//! unit-testable. Timing-sensitive results (§10.8 throughput) are measured by the
-//! Criterion benches in `benches/`.
+//! unit-testable. Throughput and latency (§10.8) are measured by the separate
+//! `perfbench` package at the repository root, not here.
 //!
 //! | Module | Paper artefact |
 //! |--------|----------------|
@@ -12,8 +12,6 @@
 //! | [`fpr_experiments`] | Figure 2 (estimated vs actual FPR) |
 //! | [`sizing_experiments`] | Figure 3 (predicted vs actual entries), Table 1 |
 //! | [`joblight_experiments`] | Figures 6–10, Tables 2–3, §10.6 aggregates |
-//! | [`growth_experiments`] | beyond the paper: auto-grow cost and batched-probe throughput |
-//! | [`sharded_experiments`] | beyond the paper: sharded-service batch-probe scaling |
 //! | [`churn_experiments`] | beyond the paper: sliding-window insert/delete churn |
 //! | [`telemetry_experiments`] | beyond the paper: the `telemetry_report` exposition workload |
 //! | [`report`] | plain-text table formatting shared by the binaries |
@@ -23,11 +21,9 @@
 
 pub mod churn_experiments;
 pub mod fpr_experiments;
-pub mod growth_experiments;
 pub mod joblight_experiments;
 pub mod multiset_experiments;
 pub mod report;
-pub mod sharded_experiments;
 pub mod sizing_experiments;
 pub mod telemetry_experiments;
 

@@ -132,7 +132,7 @@ mod tests {
     fn exposition_contains_the_headline_series() {
         let telemetry = run_telemetry_workload(&TelemetryWorkload::new(4000, 2000, 2000, 4, 0xCCF));
         let text = telemetry.render_text();
-        // Acceptance criterion: kick-depth and batch-latency histograms from a real
+        // Acceptance contract: kick-depth and batch-latency histograms from a real
         // sharded churn workload.
         assert!(text.contains("ccf_kick_depth_bucket"), "{text}");
         assert!(text.contains("ccf_shard_batch_latency_ns_bucket"), "{text}");

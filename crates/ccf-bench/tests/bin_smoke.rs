@@ -1,9 +1,6 @@
-//! Smoke tests for the experiment binaries (the 13 paper artefacts plus the
-//! growth/batch, sharded-throughput, churn, telemetry-report and service-loopback
-//! harnesses): each one must run to completion at a minimal workload scale
-//! and produce non-empty tabular output. For `growth_batch` this also re-verifies the
-//! bit-identity and zero-failure contracts at smoke scale, so the growth/batch bench
-//! cannot silently rot.
+//! Smoke tests for the experiment binaries (the 13 paper artefacts plus the churn
+//! and telemetry-report harnesses): each one must run to completion at a minimal
+//! workload scale and produce non-empty tabular output.
 //!
 //! `--scale` is a *divisor* of the synthetic IMDB size (scale N ⇒ 1/N of the full
 //! dataset), so "minimal" means a large value. Binaries that don't take a given flag
@@ -74,12 +71,8 @@ bin_smoke_tests!(
     table2,
     table3,
     aggregate,
-    growth_batch,
-    packed_probe,
-    sharded_throughput,
     churn,
     telemetry_report,
-    service_loopback,
 );
 
 /// The workspace lint gate, in-process. `CARGO_BIN_EXE_*` variables only cover

@@ -954,17 +954,22 @@ mod tests {
 
     #[test]
     fn auto_grow_accepts_four_times_the_sized_capacity() {
-        // Acceptance criterion: a filter sized for n takes 4n unique keys with zero
-        // failures and zero false negatives when auto_grow is on.
-        let n = 4000usize;
-        let mut f = CuckooFilter::new(CuckooFilterParams::for_capacity(n, 12, 21).with_auto_grow());
-        for k in 0..(4 * n) as u64 {
-            f.insert(k)
-                .unwrap_or_else(|e| panic!("auto-grow insert of {k} failed: {e}"));
-        }
-        assert!(f.growth_bits() >= 2, "4n keys must trigger ≥ 2 doublings");
-        for k in 0..(4 * n) as u64 {
-            assert!(f.contains(k), "false negative for {k} after auto-growth");
+        // Acceptance contract: a filter sized for n takes 4n unique keys with zero
+        // failures and zero false negatives when auto_grow is on — down to the
+        // degenerate n = 1, whose batch path must still agree with per-key probes.
+        for (n, min_doublings) in [(4000usize, 2), (1, 0)] {
+            let mut f =
+                CuckooFilter::new(CuckooFilterParams::for_capacity(n, 12, 21).with_auto_grow());
+            let keys: Vec<u64> = (0..(4 * n) as u64).collect();
+            for &k in &keys {
+                f.insert(k)
+                    .unwrap_or_else(|e| panic!("n={n}: auto-grow insert of {k} failed: {e}"));
+            }
+            assert!(f.growth_bits() >= min_doublings, "n={n}: too few doublings");
+            let hits = f.contains_batch(&keys);
+            for (&k, &hit) in keys.iter().zip(&hits) {
+                assert!(hit && f.contains(k), "n={n}: false negative for {k}");
+            }
         }
     }
 

@@ -84,16 +84,6 @@ impl OccupancyStats {
         self
     }
 
-    /// Stored bits per entry slot: `heap_bytes · 8 / capacity` (0 when allocation is
-    /// untracked or the structure is empty of slots).
-    pub fn stored_bits_per_entry(&self) -> f64 {
-        if self.capacity() == 0 {
-            0.0
-        } else {
-            self.heap_bytes as f64 * 8.0 / self.capacity() as f64
-        }
-    }
-
     /// Total slot capacity `m · b`.
     pub fn capacity(&self) -> usize {
         self.num_buckets * self.entries_per_bucket
@@ -150,6 +140,7 @@ mod tests {
         assert_eq!(stats.capacity(), 20);
         assert!((stats.load_factor() - 0.55).abs() < 1e-12);
         assert!((stats.full_fraction() - 0.4).abs() < 1e-12);
+        assert_eq!(stats.heap_bytes, 0, "raw counts carry no allocation info");
     }
 
     #[test]
@@ -163,17 +154,6 @@ mod tests {
         assert_eq!(m.empty_buckets, 2);
         assert_eq!(m.heap_bytes, 63, "merge must sum per-side allocations");
         assert!((m.load_factor() - 15.0 / 28.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heap_bytes_expose_stored_bits_per_entry() {
-        let stats = OccupancyStats::from_counts(vec![2; 16], 4);
-        assert_eq!(stats.heap_bytes, 0, "raw counts carry no allocation info");
-        assert_eq!(stats.stored_bits_per_entry(), 0.0);
-        // 16 buckets × 4 slots backed by 144 bytes → 18 bits per slot (the packed
-        // b = 4 figure: 16-bit lane + 2 counter bits).
-        let stats = stats.with_heap_bytes(144);
-        assert!((stats.stored_bits_per_entry() - 18.0).abs() < 1e-12);
     }
 
     #[test]

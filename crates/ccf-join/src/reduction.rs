@@ -124,15 +124,6 @@ pub fn evaluate_workload_with<B: ProbeBank>(
         .collect()
 }
 
-/// Evaluate the instances of a single query against the sequential filter bank.
-pub fn evaluate_query(
-    db: &SyntheticImdb,
-    query: &JobLightQuery,
-    bank: &FilterBank,
-) -> Vec<InstanceResult> {
-    evaluate_query_with(db, query, bank)
-}
-
 /// Evaluate the instances of a single query (one per table occurrence with at least one
 /// other table to reduce by) against any [`ProbeBank`].
 pub fn evaluate_query_with<B: ProbeBank>(

@@ -624,7 +624,9 @@ mod tests {
                     shards,
                 )
                 .with_threads(threads);
-                let data = rows(800);
+                // A multiset stream: 200 of the keys come back with new attributes.
+                let mut data = rows(600);
+                data.extend(rows(200).into_iter().map(|(k, a)| (k, [a[0] + 5, a[1]])));
                 let outcomes = service.insert_batch(&data);
                 assert!(outcomes.iter().all(|o| o.is_ok()));
                 // Mixed hit/miss probe stream.
@@ -643,7 +645,12 @@ mod tests {
                 for (i, &k) in keys.iter().enumerate() {
                     assert_eq!(batched[i], service.query(k, &pred), "{shards}x{threads}");
                     assert_eq!(contained[i], service.contains_key(k), "{shards}x{threads}");
+                    assert!(contained[i] || !batched[i], "predicate hit without key hit");
                 }
+                // Changing the thread cap of a filled service changes no answer.
+                let mut service = service;
+                service.set_threads(if threads == 1 { shards } else { 1 });
+                assert_eq!(service.contains_key_batch(&keys), contained);
             }
         }
     }
