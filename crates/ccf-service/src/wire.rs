@@ -35,6 +35,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"CCFW");
 pub const VERSION: u8 = 1;
 /// Hard cap on a frame's announced length: 16 MiB.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+/// Most bytes [`read_frame`] reserves before a frame's body arrives; a larger body
+/// grows the frame as its bytes come in.
+const FRAME_RESERVE: usize = 64 * 1024;
 /// Fixed request header: magic + version + opcode + tenant id.
 pub const REQUEST_HEADER: u32 = 10;
 /// Fixed response header: magic + version + status.
@@ -181,9 +184,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Read one frame's payload (the bytes after the length prefix). Returns `Ok(None)`
 /// on a clean EOF at a frame boundary — the peer closed the connection. An EOF
 /// mid-frame, an oversized announcement, or an impossible length is a typed
-/// [`ProtocolError`]. Frame bytes are read in bounded chunks so the announced length
-/// is never trusted for a single up-front allocation larger than what actually
-/// arrives.
+/// [`ProtocolError`]. The body is read straight into the returned frame, with at
+/// most 64 KiB reserved up front, so the announced length is never trusted for an
+/// allocation larger than what actually arrives.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ServiceError> {
     let mut len_buf = [0u8; 4];
     match r.read(&mut len_buf)? {
@@ -207,17 +210,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ServiceError> {
     if len < RESPONSE_HEADER {
         return Err(ProtocolError::FrameTooShort { len }.into());
     }
-    let mut frame = Vec::new();
-    let mut remaining = len as usize;
-    let mut chunk = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let want = remaining.min(chunk.len());
-        let got = r.read(&mut chunk[..want])?;
-        if got == 0 {
-            return Err(ProtocolError::Truncated.into());
-        }
-        frame.extend_from_slice(&chunk[..got]);
-        remaining -= got;
+    let len = len as usize;
+    let mut frame = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < len {
+        return Err(ProtocolError::Truncated.into());
     }
     Ok(Some(frame))
 }

@@ -10,7 +10,8 @@
 //!   from every in-shard hash so routing never correlates with in-shard placement.
 //! * [`service`] — [`ShardedCcf`]: concurrent point ops plus parallel
 //!   `insert_batch` / `query_batch` / `contains_key_batch` that fan per-shard chunks
-//!   out over `std::thread::scope` workers while staying bit-identical to a
+//!   out over `std::thread::scope` workers, once a batch is large enough to pay for
+//!   the threads ([`MIN_KEYS_PER_WORKER`]), while staying bit-identical to a
 //!   sequential per-key loop.
 //! * [`stats`] — [`ShardStats`]: per-shard occupancy / growth / FPR metrics merged
 //!   into the service-wide summary, in the `ccf_cuckoo::metrics` vocabulary.
@@ -36,7 +37,7 @@ pub mod stats;
 
 pub use fanout::fan_out_indexed;
 pub use router::{Partition, ShardRouter};
-pub use service::{ShardedCcf, SHARD_SNAPSHOT_MAGIC, SHARD_SNAPSHOT_VERSION};
+pub use service::{ShardedCcf, MIN_KEYS_PER_WORKER, SHARD_SNAPSHOT_MAGIC, SHARD_SNAPSHOT_VERSION};
 pub use stats::{ShardSnapshot, ShardStats};
 
 /// Compile-time `Send + Sync` witness: instantiating this in a `const` fails to

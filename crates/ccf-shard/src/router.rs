@@ -79,14 +79,27 @@ impl ShardRouter {
 
     /// Partition a key batch into per-shard chunks, preserving relative input order
     /// within each shard.
+    ///
+    /// Each chunk is allocated once, for its expected share plus a margin of an
+    /// eighth and 16 keys: a shard's share of `n` uniformly routed keys deviates from
+    /// `n / shards` by about `√(n / shards)`, so the margin is several deviations
+    /// wide for batches of a few hundred keys and up, and a chunk grows again only
+    /// on a badly skewed batch.
     pub fn partition(&self, keys: &[u64]) -> Partition {
-        let mut chunks = vec![Vec::new(); self.num_shards];
-        let mut positions = vec![Vec::new(); self.num_shards];
         if self.num_shards == 1 {
-            chunks[0] = keys.to_vec();
-            positions[0] = (0..keys.len()).collect();
-            return Partition { chunks, positions };
+            return Partition {
+                chunks: vec![keys.to_vec()],
+                positions: vec![(0..keys.len()).collect()],
+            };
         }
+        let expected = keys.len() / self.num_shards;
+        let reserve = (expected + expected / 8 + 16).min(keys.len());
+        let mut chunks: Vec<Vec<u64>> = (0..self.num_shards)
+            .map(|_| Vec::with_capacity(reserve))
+            .collect();
+        let mut positions: Vec<Vec<usize>> = (0..self.num_shards)
+            .map(|_| Vec::with_capacity(reserve))
+            .collect();
         for (i, &key) in keys.iter().enumerate() {
             let s = self.shard_of(key);
             chunks[s].push(key);

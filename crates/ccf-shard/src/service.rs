@@ -11,6 +11,14 @@
 //! * batch operations route keys to per-shard chunks and fan the chunks out over
 //!   [`std::thread::scope`] workers — no dependencies, no global stop-the-world.
 //!
+//! **When a batch fans out.** A batch is split over threads only when every worker
+//! gets at least [`MIN_KEYS_PER_WORKER`] keys (or rows), and never over more workers
+//! than the thread cap or the non-empty shard chunks. Smaller batches run all their
+//! shards on the calling thread: a thread spawn costs as much as 500–1,400 keys of
+//! chained query work, so threading a 512-key batch would make it slower. When a
+//! batch does fan out, the calling thread takes the first worker's share (see
+//! [`crate::fanout`]).
+//!
 //! **Determinism contract.** Partitioning preserves each key's relative order within
 //! its shard, shards share no state, and every shard runs the PR 2 chunked two-pass
 //! batch kernels. Batch results are therefore *bit-identical* to a sequential per-key
@@ -32,6 +40,21 @@ use ccf_telemetry::{buckets, Histogram, Telemetry};
 use crate::fanout::fan_out_indexed;
 use crate::router::ShardRouter;
 use crate::stats::{ShardSnapshot, ShardStats};
+
+/// Fewest keys (or rows) a batch must bring per worker before it is split over
+/// threads: a batch of `n` keys fans out over at most `n / MIN_KEYS_PER_WORKER`
+/// workers.
+///
+/// Set from measurement on a 2-vCPU machine (release build, 2-shard chained
+/// filter, 40–60 ns per predicate-query key). Starting and joining one scoped
+/// thread costs 30–50 µs, the work of 500–1,400 query keys. With the threads free
+/// to use both CPUs, splitting a query batch over the caller and one spawned
+/// worker broke even at about 1,024 keys and saved 20–40 % from 4,096 keys up;
+/// with every thread on one CPU it never paid and cost 12–27 % at 4,096–16,384
+/// keys. At 4,096 keys per worker a spawn is at most a fifth of the share it
+/// takes over, and far less for inserts and deletes (≈ 1 µs per row). Results do
+/// not depend on it: batches are bit-identical for any worker count.
+pub const MIN_KEYS_PER_WORKER: usize = 4096;
 
 /// Largest batch size the `ccf_shard_batch_keys` histogram resolves exactly;
 /// bigger batches land in the `+Inf` bucket.
@@ -242,8 +265,12 @@ impl ShardedCcf {
     }
 
     /// Cap the number of worker threads batch operations fan out over (default: one
-    /// per shard). A cap of 1 makes every batch operation run sequentially on the
-    /// calling thread — useful as the reference in equivalence tests.
+    /// per shard). The cap is an upper bound: a batch uses one worker per
+    /// [`MIN_KEYS_PER_WORKER`] keys at most, so batches smaller than twice that run
+    /// on the calling thread whatever the cap, because a thread spawn would cost
+    /// more than the work it takes over. A cap of 1 makes every batch operation run
+    /// sequentially on the calling thread — useful as the reference in equivalence
+    /// tests.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.set_threads(threads);
         self
@@ -333,9 +360,14 @@ impl ShardedCcf {
             .contains_key_prehashed(key)
     }
 
-    /// How many workers a batch over the given per-shard chunk sizes should use.
-    fn workers_for(&self, non_empty_chunks: usize) -> usize {
-        self.threads.min(non_empty_chunks).max(1)
+    /// How many workers a batch of `total` keys spread over `non_empty_chunks`
+    /// shards should use: within the thread cap, one per non-empty chunk at most,
+    /// and one per [`MIN_KEYS_PER_WORKER`] keys at most, but never fewer than one.
+    fn workers_for(&self, non_empty_chunks: usize, total: usize) -> usize {
+        self.threads
+            .min(non_empty_chunks)
+            .min(total / MIN_KEYS_PER_WORKER)
+            .max(1)
     }
 
     /// Fan per-shard chunks out over [`fan_out_indexed`] workers, read-locking each
@@ -346,7 +378,9 @@ impl ShardedCcf {
         probe: impl Fn(&AnyCcf, &[u64]) -> Vec<T> + Sync,
     ) -> Vec<Vec<T>> {
         let non_empty = chunks.iter().filter(|c| !c.is_empty()).count();
-        let produced = fan_out_indexed(chunks.len(), self.workers_for(non_empty), |s| {
+        let total = chunks.iter().map(Vec::len).sum();
+        let workers = self.workers_for(non_empty, total);
+        let produced = fan_out_indexed(chunks.len(), workers, |s| {
             (!chunks[s].is_empty())
                 .then(|| probe(&self.shards[s].read().expect(POISONED), &chunks[s]))
         });
@@ -401,12 +435,10 @@ impl ShardedCcf {
         lowered: &[u64],
         op: impl Fn(&mut AnyCcf, usize) -> T + Sync,
     ) -> Vec<T> {
-        let mut row_indices: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
-        for (i, &key) in lowered.iter().enumerate() {
-            row_indices[self.router.shard_of(key)].push(i);
-        }
+        let row_indices = self.router.partition(lowered).positions;
         let non_empty = row_indices.iter().filter(|c| !c.is_empty()).count();
-        let produced = fan_out_indexed(row_indices.len(), self.workers_for(non_empty), |s| {
+        let workers = self.workers_for(non_empty, lowered.len());
+        let produced = fan_out_indexed(row_indices.len(), workers, |s| {
             let indices = &row_indices[s];
             (!indices.is_empty()).then(|| {
                 let mut guard = self.shards[s].write().expect(POISONED);
@@ -612,25 +644,67 @@ mod tests {
     }
 
     #[test]
+    fn workers_for_splits_only_batches_that_pay_for_their_threads() {
+        let service = ShardedCcf::new(VariantKind::Chained, shard_params(2), 4);
+        assert_eq!(service.threads(), 4);
+        // Below two workers' worth of keys a batch stays on the calling thread.
+        assert_eq!(service.workers_for(4, 0), 1);
+        assert_eq!(service.workers_for(4, 512), 1);
+        assert_eq!(service.workers_for(4, MIN_KEYS_PER_WORKER), 1);
+        assert_eq!(service.workers_for(4, 2 * MIN_KEYS_PER_WORKER - 1), 1);
+        // From there on, one worker per MIN_KEYS_PER_WORKER keys.
+        assert_eq!(service.workers_for(4, 2 * MIN_KEYS_PER_WORKER), 2);
+        assert_eq!(service.workers_for(4, 4 * MIN_KEYS_PER_WORKER - 1), 3);
+        assert_eq!(service.workers_for(4, 4 * MIN_KEYS_PER_WORKER), 4);
+        // The thread cap and the non-empty chunks still bound a large batch.
+        assert_eq!(service.workers_for(4, 100 * MIN_KEYS_PER_WORKER), 4);
+        assert_eq!(service.workers_for(2, 100 * MIN_KEYS_PER_WORKER), 2);
+        assert_eq!(service.workers_for(0, 100 * MIN_KEYS_PER_WORKER), 1);
+        let service = service.with_threads(1);
+        assert_eq!(service.workers_for(4, 100 * MIN_KEYS_PER_WORKER), 1);
+    }
+
+    #[test]
     fn batch_results_are_bit_identical_to_per_key_loops() {
+        // The small batches run on the calling thread; the large ones are big
+        // enough for every worker the thread cap allows.
+        let small = (600, 200, 2000, 1 << 8);
+        let min = MIN_KEYS_PER_WORKER as u64;
+        let large = (3 * min, min, 4 * min + 7, 1 << 13);
+        for (fresh, repeated, probes, buckets) in [small, large] {
+            batch_results_match_per_key_loops(fresh, repeated, probes, buckets);
+        }
+    }
+
+    fn batch_results_match_per_key_loops(
+        fresh: u64,
+        repeated: u64,
+        probes: u64,
+        num_buckets: usize,
+    ) {
         for threads in [1, 2, 4] {
             for shards in [1, 3, 4] {
                 let service = ShardedCcf::new(
                     VariantKind::Chained,
                     CcfParams {
-                        num_buckets: 1 << 8,
+                        num_buckets,
                         ..shard_params(11)
                     },
                     shards,
                 )
                 .with_threads(threads);
-                // A multiset stream: 200 of the keys come back with new attributes.
-                let mut data = rows(600);
-                data.extend(rows(200).into_iter().map(|(k, a)| (k, [a[0] + 5, a[1]])));
+                // A multiset stream: `repeated` of the keys come back with new
+                // attributes.
+                let mut data = rows(fresh);
+                data.extend(
+                    rows(repeated)
+                        .into_iter()
+                        .map(|(k, a)| (k, [a[0] + 5, a[1]])),
+                );
                 let outcomes = service.insert_batch(&data);
                 assert!(outcomes.iter().all(|o| o.is_ok()));
                 // Mixed hit/miss probe stream.
-                let keys: Vec<u64> = (0..2000u64)
+                let keys: Vec<u64> = (0..probes)
                     .map(|i| {
                         if i % 2 == 0 {
                             data[(i as usize / 2) % data.len()].0

@@ -8,9 +8,13 @@
 //! * **Zero false negatives across growth** — with tiny `auto_grow` shards and
 //!   multi-threaded batch inserts, every inserted row stays queryable after the
 //!   per-shard doublings the overload forces.
+//!
+//! A batch fans out over threads only once it brings [`MIN_KEYS_PER_WORKER`] keys per
+//! worker, so both properties also draw batches that large: without them every
+//! case would run on the calling thread.
 
 use ccf_core::{AnyCcf, CcfParams, ConditionalFilter, Predicate, VariantKind};
-use ccf_shard::{ShardRouter, ShardedCcf};
+use ccf_shard::{ShardRouter, ShardedCcf, MIN_KEYS_PER_WORKER};
 use proptest::prelude::*;
 
 fn variant_of(ix: u8) -> VariantKind {
@@ -44,6 +48,7 @@ proptest! {
         threads in 1usize..=4,
         variant_ix in any::<u8>(),
         num_rows in 1usize..=400,
+        threaded in any::<bool>(),
     ) {
         let kind = variant_of(variant_ix);
         let params = shard_params(seed);
@@ -64,11 +69,21 @@ proptest! {
             prop_assert_eq!(outcomes[i], reference_outcome, "insert outcomes diverged");
         }
 
-        // Probe with a mixed hit/miss stream under a predicate and key-only.
+        // Probe with a mixed hit/miss stream under a predicate and key-only; the
+        // extra probes, enough for four workers, alternate stored keys and fresh
+        // ones.
+        let extra_probes = if threaded { 4 * MIN_KEYS_PER_WORKER + 3 } else { 0 };
         let probes: Vec<u64> = rows
             .iter()
             .map(|(k, _)| *k)
             .chain((0..200u64).map(|i| seed ^ (i.wrapping_mul(0xD1B54A32D192ED03))))
+            .chain((0..extra_probes).map(|i| {
+                if i % 2 == 0 {
+                    rows[i / 2 % rows.len()].0
+                } else {
+                    seed ^ ((200 + i as u64).wrapping_mul(0xD1B54A32D192ED03))
+                }
+            }))
             .collect();
         let pred = Predicate::any(2).and_eq(0, 3);
         let queried = service.query_batch(&probes, &pred);
@@ -87,6 +102,7 @@ proptest! {
         seed in any::<u64>(),
         num_shards in 1usize..=4,
         overload in 2usize..=6,
+        threaded in any::<bool>(),
     ) {
         let params = CcfParams {
             num_buckets: 1 << 4,
@@ -98,6 +114,8 @@ proptest! {
         let service = ShardedCcf::new(VariantKind::Chained, params, num_shards)
             .with_threads(num_shards);
         let total = overload * num_shards * (1 << 4) * params.entries_per_bucket;
+        // Enough rows for one worker per shard, each shard doubling many times.
+        let total = if threaded { total + num_shards * MIN_KEYS_PER_WORKER } else { total };
         let rows: Vec<(u64, [u64; 1])> = (0..total as u64)
             .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) ^ seed, [i % 5]))
             .collect();
