@@ -15,6 +15,10 @@
 //! * `justification` — required free text after ` -- `; an entry without one is
 //!   a parse error, because an unexplained exception is indistinguishable from a
 //!   silenced bug.
+//!
+//! An entry that suppresses nothing in a lint run is itself a finding
+//! (`CCF-L006 ccf-lint.allow:LINE`): a stale exception would silently excuse the
+//! next violation that happens to match it.
 
 use crate::report::Finding;
 
@@ -33,6 +37,9 @@ pub struct AllowEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Allowlist {
     pub entries: Vec<AllowEntry>,
+    /// Where the entries came from, as stale-entry findings name it
+    /// ([`crate::DEFAULT_ALLOWLIST`] unless the caller says otherwise).
+    pub path: String,
 }
 
 /// A malformed allowlist line.
@@ -100,12 +107,20 @@ impl Allowlist {
                 source_line: line_no,
             });
         }
-        Ok(Allowlist { entries })
+        Ok(Allowlist {
+            entries,
+            path: crate::DEFAULT_ALLOWLIST.to_string(),
+        })
     }
 
     /// Does any entry suppress this finding?
     pub fn suppresses(&self, finding: &Finding) -> bool {
-        self.entries.iter().any(|e| {
+        self.suppressor(finding).is_some()
+    }
+
+    /// The index of the first entry that suppresses this finding.
+    pub fn suppressor(&self, finding: &Finding) -> Option<usize> {
+        self.entries.iter().position(|e| {
             e.rule == finding.rule
                 && finding.path.starts_with(&e.path_prefix)
                 && (e.line_substring == "*" || finding.raw_line.contains(&e.line_substring))

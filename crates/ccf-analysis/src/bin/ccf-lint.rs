@@ -76,7 +76,8 @@ fn run(opts: &Options) -> Result<i32, AnalysisError> {
                     message: "allowlist file not found".to_string(),
                 });
             }
-            let allowlist = load_allowlist(path)?;
+            let mut allowlist = load_allowlist(path)?;
+            allowlist.path = path.display().to_string();
             let files = ccf_analysis::collect_sources(&root)?;
             ccf_analysis::lint_sources(&files, &allowlist)
         }

@@ -6,7 +6,7 @@
 //! live in the workspace allowlist (see [`crate::allowlist`]), never in the
 //! rule code.
 
-use crate::allowlist::Allowlist;
+use crate::allowlist::{AllowEntry, Allowlist};
 use crate::report::Finding;
 use crate::source::{Line, SourceFile};
 
@@ -71,6 +71,15 @@ pub const RULES: &[RuleInfo] = &[
         hint: "rename the series (see the README instrument catalog) or extend the documented \
                convention first",
     },
+    RuleInfo {
+        id: "CCF-L006",
+        name: "stale-allow-entry",
+        summary: "every allowlist entry must suppress at least one finding of the run; an \
+                  entry that suppresses nothing would silently excuse the next violation that \
+                  happens to match it",
+        hint: "delete the entry, or fix its path-prefix/line-substring if the code it excuses \
+               moved",
+    },
 ];
 
 /// Look up a rule by ID.
@@ -89,7 +98,9 @@ pub struct LintRun {
     pub suppressed: usize,
 }
 
-/// Lint a set of scanned files against the full rule catalog.
+/// Lint a set of scanned files against the full rule catalog. An allowlist entry
+/// that suppresses nothing in these files is a CCF-L006 finding, so a gating run
+/// passes the whole workspace.
 pub fn lint_sources(files: &[SourceFile], allowlist: &Allowlist) -> LintRun {
     let mut findings = Vec::new();
     for file in files {
@@ -100,17 +111,46 @@ pub fn lint_sources(files: &[SourceFile], allowlist: &Allowlist) -> LintRun {
         check_instrument_names(file, &mut findings);
     }
     let total = findings.len();
-    let findings: Vec<Finding> = findings
+    let mut used = vec![false; allowlist.entries.len()];
+    let mut findings: Vec<Finding> = findings
         .into_iter()
-        .filter(|f| !allowlist.suppresses(f))
+        .filter(|f| match allowlist.suppressor(f) {
+            Some(i) => {
+                used[i] = true;
+                false
+            }
+            None => true,
+        })
         .collect();
-    let mut findings = findings;
+    let suppressed = total - findings.len();
+    findings.extend(
+        allowlist
+            .entries
+            .iter()
+            .zip(used)
+            .filter(|(_, used)| !used)
+            .map(|(e, _)| stale_entry(&allowlist.path, e)),
+    );
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     LintRun {
-        suppressed: total - findings.len(),
+        suppressed,
         files_scanned: files.len(),
         findings,
+    }
+}
+
+/// The CCF-L006 finding for an allowlist entry that suppressed nothing.
+fn stale_entry(path: &str, e: &AllowEntry) -> Finding {
+    Finding {
+        rule: "CCF-L006",
+        path: path.to_string(),
+        line: e.source_line,
+        message: format!(
+            "allowlist entry `{} {} {}` suppresses nothing — delete it",
+            e.rule, e.path_prefix, e.line_substring
+        ),
+        raw_line: String::new(),
     }
 }
 

@@ -120,6 +120,30 @@ fn allowlist_suppresses_planted_violation() {
 }
 
 #[test]
+fn stale_allowlist_entry_exits_one_with_stable_format() {
+    let ws = ScratchWorkspace::new("stale");
+    ws.write("crates/demo/src/lib.rs", "pub fn f() {}\n");
+    ws.write(
+        "ccf-lint.allow",
+        "# header\nCCF-L002 crates/demo/src/ v.unwrap() -- fixture whose violation is gone\n",
+    );
+    let out = Command::new(lint_bin())
+        .args(["--root"])
+        .arg(&ws.root)
+        .output()
+        .expect("run ccf-lint");
+    assert_eq!(out.status.code(), Some(1), "stale entries fail the gate");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "one finding, one line: {stdout}");
+    assert!(
+        lines[0].starts_with("CCF-L006 ccf-lint.allow:2 "),
+        "unexpected finding line: {}",
+        lines[0]
+    );
+}
+
+#[test]
 fn malformed_allowlist_exits_two() {
     let ws = ScratchWorkspace::new("badallow");
     ws.write("crates/demo/src/lib.rs", "pub fn f() {}\n");

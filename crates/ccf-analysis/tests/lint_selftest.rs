@@ -246,12 +246,35 @@ fn allowlist_suppresses_and_counts() {
     assert_eq!(run.suppressed, 1);
 }
 
+// ---- CCF-L006: stale-allow-entry --------------------------------------------
+
+#[test]
+fn l006_flags_an_allowlist_entry_that_suppresses_nothing() {
+    let file = SourceFile::parse(
+        "crates/x/src/lib.rs",
+        "fn f() { None::<u8>.expect(\"invariant: always present\"); }\n",
+    );
+    let allow = Allowlist::parse(
+        "CCF-L002 crates/x/src/ expect(\"invariant -- the invariant is documented on f()\n\
+         CCF-L002 crates/x/src/ expect(\"moved away -- planted stale entry\n",
+    )
+    .expect("valid allowlist");
+    let run = lint_sources(std::slice::from_ref(&file), &allow);
+    assert_eq!(run.suppressed, 1);
+    let rendered: Vec<String> = run.findings.iter().map(|f| f.render()).collect();
+    assert_eq!(rendered.len(), 1, "{rendered:?}");
+    assert!(
+        rendered[0].starts_with("CCF-L006 ccf-lint.allow:2 "),
+        "{rendered:?}"
+    );
+}
+
 #[test]
 fn every_rule_has_fixture_coverage() {
     // The catalog and this file must grow together: each rule ID appears in at
     // least one firing fixture above. Compile-time completeness via exhaustive
     // match is impossible for data, so pin the count.
-    assert_eq!(ccf_analysis::RULES.len(), 5);
+    assert_eq!(ccf_analysis::RULES.len(), 6);
     for r in ccf_analysis::RULES {
         assert!(r.id.starts_with("CCF-L"), "{}", r.id);
         assert!(!r.summary.is_empty() && !r.hint.is_empty());

@@ -18,9 +18,9 @@ use crate::params::bloom_fpr;
 
 /// The hash functions of a family of tiny Bloom filters over (attribute column,
 /// value) pairs. Every sketch of one CCF uses the same functions, so a filter holds
-/// them once and keeps each sketch's bits in a slice of 16-bit words (bit `i` in
-/// word `i / 16`, bit `i % 16`, the bit order [`BitVec::to_bytes`] writes); a
-/// [`TinyBloom`] pairs its own copy with a [`BitVec`].
+/// them once and keeps each sketch's bits in a byte slice (bit `i` in byte `i / 8`,
+/// bit `i % 8`, the bit order [`BitVec::to_bytes`] writes); a [`TinyBloom`] pairs its
+/// own copy with a [`BitVec`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchHashers {
     hashers: Vec<SaltedHasher>,
@@ -63,17 +63,17 @@ impl SketchHashers {
         self.hashers.iter().map(move |h| h.bucket_of(e, num_bits))
     }
 
-    /// Insert (column, value) into the `num_bits`-bit sketch held in `words`.
-    pub fn insert_pair(&self, words: &mut [u16], num_bits: usize, column: usize, value: u64) {
+    /// Insert (column, value) into the `num_bits`-bit sketch held in `bytes`.
+    pub fn insert_pair(&self, bytes: &mut [u8], num_bits: usize, column: usize, value: u64) {
         for i in self.positions(column, value, num_bits) {
-            words[i / 16] |= 1 << (i % 16);
+            bytes[i / 8] |= 1 << (i % 8);
         }
     }
 
-    /// Whether (column, value) might be in the `num_bits`-bit sketch held in `words`.
-    pub fn contains_pair(&self, words: &[u16], num_bits: usize, column: usize, value: u64) -> bool {
+    /// Whether (column, value) might be in the `num_bits`-bit sketch held in `bytes`.
+    pub fn contains_pair(&self, bytes: &[u8], num_bits: usize, column: usize, value: u64) -> bool {
         self.positions(column, value, num_bits)
-            .all(|i| (words[i / 16] >> (i % 16)) & 1 == 1)
+            .all(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
     }
 }
 

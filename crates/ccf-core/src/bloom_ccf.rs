@@ -61,7 +61,7 @@ impl BloomCcf {
         let sketch =
             SketchFormat::new(params.bloom_bits, params.bloom_hashes, &family.subfamily(7));
         Ok(Self {
-            table: EntryTable::new(&family, &params, sketch.words(), params.seed ^ 0xB100),
+            table: EntryTable::new(&family, &params, sketch.bytes(), params.seed ^ 0xB100),
             sketch,
             key_lower: family.hasher(ccf_hash::salted::purpose::KEY_LOWER),
             rows_absorbed: 0,
@@ -392,7 +392,7 @@ impl BloomCcf {
 }
 
 /// Insert every (column, value) pair of a row into a sketch record.
-fn add_row(sketch: &SketchFormat, record: &mut [u16], attrs: &[u64]) {
+fn add_row(sketch: &SketchFormat, record: &mut [u8], attrs: &[u64]) {
     for (col, &v) in attrs.iter().enumerate() {
         sketch.insert_pair(record, col, v);
     }

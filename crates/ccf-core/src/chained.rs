@@ -22,7 +22,7 @@ use ccf_cuckoo::{GrowthStats, OccupancyStats, PackedBuckets};
 use ccf_hash::{AttrFingerprinter, Fingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::match_fingerprint_vector;
+use crate::attr::{match_fingerprint_vector, VectorCodec};
 use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -115,6 +115,8 @@ pub struct ChainedCcf {
     table: EntryTable,
     params: CcfParams,
     attr_fp: AttrFingerprinter,
+    /// The packed layout of a slot's attribute fingerprints.
+    codec: VectorCodec,
     chain: Chain,
     key_lower: SaltedHasher,
     rows_absorbed: usize,
@@ -139,8 +141,10 @@ impl ChainedCcf {
         params.num_buckets = params.num_buckets.next_power_of_two().max(1);
         params.try_validate()?;
         let family = HashFamily::new(params.seed);
+        let codec = VectorCodec::new(params.attr_bits, params.num_attrs);
         Ok(Self {
-            table: EntryTable::new(&family, &params, params.num_attrs, params.seed ^ 0xC4A1),
+            table: EntryTable::new(&family, &params, codec.bytes(), params.seed ^ 0xC4A1),
+            codec,
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
             chain: Chain::new(&family, &params),
             key_lower: family.hasher(ccf_hash::salted::purpose::KEY_LOWER),
@@ -161,7 +165,7 @@ impl ChainedCcf {
         w.put_usize(self.rows_absorbed);
         w.put_usize(self.rows_dropped);
         w.put_usize(self.max_chain_seen);
-        self.table.write_buckets(w, write_vector_slot);
+        self.table.write_buckets(w, write_vector_slot(self.codec));
     }
 
     /// Inverse of [`ChainedCcf::snapshot_payload`]; see
@@ -176,7 +180,8 @@ impl ChainedCcf {
         let rows_dropped = r.get_usize()?;
         let max_chain_seen = r.get_usize()?;
         let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
-        f.table.restore(growth_bits, rng, r, read_vector_slot)?;
+        f.table
+            .restore(growth_bits, rng, r, read_vector_slot(f.codec))?;
         f.params.num_buckets = params.num_buckets;
         f.rows_absorbed = rows_absorbed;
         f.rows_dropped = rows_dropped;
@@ -271,7 +276,10 @@ impl ChainedCcf {
         (0..t.num_buckets())
             .map(|bucket| {
                 (0..t.len(bucket))
-                    .map(|s| (t.fp(bucket, s), t.payload(bucket, s).to_vec()))
+                    .map(|s| {
+                        let attrs = self.codec.unpack(t.payload(bucket, s)).collect();
+                        (t.fp(bucket, s), attrs)
+                    })
                     .collect()
             })
             .collect()
@@ -338,8 +346,8 @@ impl ChainedCcf {
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, mut l) = self.home_of(key);
-        self.attr_fp
-            .fingerprint_into(attrs, self.table.staged_mut());
+        self.codec
+            .pack_row(&self.attr_fp, attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
         for depth in 0..self.chain.max_walk {
             self.max_chain_seen = self.max_chain_seen.max(depth + 1);
@@ -431,8 +439,8 @@ impl ChainedCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                self.attr_fp
-                    .fingerprint_into(attrs, self.table.staged_mut());
+                self.codec
+                    .pack_row(&self.attr_fp, attrs, self.table.staged_mut());
                 Ok(self.delete_from_chain(key, true))
             }
             Err(e) => Err(e),
@@ -456,24 +464,22 @@ impl ChainedCcf {
         result
     }
 
-    /// The sequence of bucket pairs a walk for `fp` starting at `home` visits, under
-    /// the *current* counts: pairs are appended while saturated (≥ d copies of κ) and
-    /// the first non-saturated pair ends the list. The hop sequence itself is
-    /// deterministic (it depends only on the pair, κ and the depth), so this prefix is
-    /// exactly the set of pairs a query would scan — and, by the chain invariant,
-    /// every stored copy of κ lives in one of its buckets.
-    fn walk_pairs(&self, fp: u16, home: usize) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
+    /// Append to `walk` the sequence of bucket pairs a walk for `fp` starting at
+    /// `home` visits, under the *current* counts: pairs are appended while saturated
+    /// (≥ d copies of κ) and the first non-saturated pair ends the list. The hop
+    /// sequence itself is deterministic (it depends only on the pair, κ and the
+    /// depth), so this prefix is exactly the set of pairs a query would scan — and, by
+    /// the chain invariant, every stored copy of κ lives in one of its buckets.
+    fn walk_pairs(&self, fp: u16, home: usize, walk: &mut Vec<(usize, usize)>) {
         let mut l = home;
         for depth in 0..self.chain.max_walk {
             let l_alt = self.table.geometry().alt_bucket(l, fp);
-            pairs.push((l, l_alt));
+            walk.push((l, l_alt));
             if self.table.count_in_pair(fp, l, l_alt) < self.chain.max_dupes {
                 break;
             }
             l = self.next_chain_bucket(l, l_alt, fp, depth);
         }
-        pairs
     }
 
     /// Walk the key's chain, remove one entry carrying its fingerprint and, with
@@ -485,14 +491,20 @@ impl ChainedCcf {
     /// entry means the first walk depth whose pair contains the entry's bucket —
     /// chain hops occasionally land on a bucket an earlier pair already uses, and
     /// that aliasing is precisely what the repair pass exists for.
+    ///
+    /// The walk goes into the table's scratch buffer, so a delete allocates nothing.
     fn delete_from_chain(&mut self, key: u64, by_row: bool) -> bool {
         let (fp, home) = self.home_of(key);
-        let pairs = self.walk_pairs(fp, home);
-        let visited = visited_buckets(&pairs);
+        let mut walk = self.table.take_walk();
+        self.walk_pairs(fp, home, &mut walk);
+        let num_pairs = walk.len();
+        append_visited_buckets(&mut walk);
+        let (pairs, visited) = walk.split_at(num_pairs);
         // Deepest (by first-visit depth) entry satisfying the match.
         let t = &self.table;
         let mut matched: Option<(usize, usize, usize)> = None; // (first_depth, bucket, slot)
-        for &(fd, bkt) in &visited {
+        for &(bkt, visit) in visited {
+            let fd = visit / 2;
             for slot in t.keys().slots_of(bkt, fp) {
                 let hit = !by_row || t.payload(bkt, slot) == t.staged();
                 if hit && matched.map_or(true, |(mfd, _, _)| fd >= mfd) {
@@ -500,13 +512,13 @@ impl ChainedCcf {
                 }
             }
         }
-        let Some((_, mb, ms)) = matched else {
-            return false;
-        };
-        self.table.swap_remove(mb, ms);
-        self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
-        self.repair_chain(fp, &pairs, &visited);
-        true
+        if let Some((_, mb, ms)) = matched {
+            self.table.swap_remove(mb, ms);
+            self.rows_absorbed = self.rows_absorbed.saturating_sub(1);
+            self.repair_chain(fp, pairs, visited);
+        }
+        self.table.return_walk(walk);
+        matched.is_some()
     }
 
     /// Restore the chain invariant after a removal: every pair shallower than the
@@ -518,33 +530,32 @@ impl ChainedCcf {
     /// it. Each pull moves an entry strictly shallower, so the loop terminates; in
     /// the common (alias-free) case it exits on the first pass without moving
     /// anything.
+    ///
+    /// `visited` holds `(bucket, visit)` as [`append_visited_buckets`] lays it out.
     fn repair_chain(&mut self, fp: u16, pairs: &[(usize, usize)], visited: &[(usize, usize)]) {
         let b = self.params.entries_per_bucket;
         loop {
             let t = &self.table;
             // Deepest first-visit depth among the remaining copies.
-            let holds_copy = |&&(_, bkt): &&(usize, usize)| t.keys().contains(bkt, fp);
-            let Some(deepest) = visited.iter().filter(holds_copy).map(|&(fd, _)| fd).max() else {
-                return;
-            };
+            let deepest = visited
+                .iter()
+                .filter(|&&(bkt, _)| t.keys().contains(bkt, fp))
+                .map(|&(_, visit)| visit / 2)
+                .max();
+            let Some(deepest) = deepest else { return };
             // Shallowest dented pair in front of it.
             let deficit = pairs[..deepest]
                 .iter()
                 .position(|&(l, l_alt)| t.count_in_pair(fp, l, l_alt) < self.chain.max_dupes);
             let Some(dented) = deficit else { return };
-            // Donor: any copy whose bucket first appears at the deepest depth.
-            let Some(&(_, donor_bkt)) = visited
+            // Donor: the first copy in a bucket that first appears at the deepest depth.
+            let donor = visited
                 .iter()
-                .filter(holds_copy)
-                .find(|&&(fd, _)| fd == deepest)
-            else {
+                .filter(|&&(_, visit)| visit / 2 == deepest)
+                .find_map(|&(bkt, _)| t.keys().slots_of(bkt, fp).next().map(|s| (bkt, s)));
+            let Some((donor_bkt, donor_slot)) = donor else {
                 return;
             };
-            let donor_slot = t
-                .keys()
-                .slots_of(donor_bkt, fp)
-                .next()
-                .expect("donor bucket holds a copy");
             // Target: a bucket of the dented pair with spare capacity — the freed
             // slot is in one of them by construction.
             let (l, l_alt) = pairs[dented];
@@ -719,19 +730,29 @@ impl ChainedCcf {
     }
 }
 
-/// The distinct buckets of a walked pair list, each tagged with the first depth at
-/// which it appears (chain hops can revisit a bucket an earlier pair already uses;
-/// deletion's repair pass reasons about that aliasing explicitly).
-fn visited_buckets(pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    for (depth, &(l, l_alt)) in pairs.iter().enumerate() {
-        for bkt in [l, l_alt] {
-            if !out.iter().any(|&(_, seen)| seen == bkt) {
-                out.push((depth, bkt));
-            }
+/// Append to `walk`, which holds a walked pair list, the distinct buckets of those
+/// pairs in the order a walk first visits them, as `(bucket, visit)` with `visit =
+/// 2 · depth + side` (`side` 0 for ℓ, 1 for ℓ′), so `visit / 2` is the first depth at
+/// which the bucket appears. Chain hops can revisit a bucket an earlier pair already
+/// uses; deletion's repair pass reasons about that aliasing explicitly. Two sorts
+/// keep the dedupe O(n log n) in the chain length, in place.
+fn append_visited_buckets(walk: &mut Vec<(usize, usize)>) {
+    let num_pairs = walk.len();
+    for depth in 0..num_pairs {
+        let (l, l_alt) = walk[depth];
+        walk.extend([(l, 2 * depth), (l_alt, 2 * depth + 1)]);
+    }
+    // By bucket, then visit: each bucket's first visit leads its run.
+    walk[num_pairs..].sort_unstable();
+    let mut kept = num_pairs;
+    for i in num_pairs..walk.len() {
+        if kept == num_pairs || walk[kept - 1].0 != walk[i].0 {
+            walk[kept] = walk[i];
+            kept += 1;
         }
     }
-    out
+    walk.truncate(kept);
+    walk[num_pairs..].sort_unstable_by_key(|&(_, visit)| visit);
 }
 
 /// The result of a predicate-only query on a chained CCF (§6.2): the source's key
@@ -1296,6 +1317,38 @@ mod tests {
         );
         // The derived filter shares the fingerprints and adds one bit per slot.
         assert!(f.predicate_filter(&Predicate::any(2)).size_bits() < f.size_bits());
+    }
+
+    #[test]
+    fn chained_churn_slot_shape_heap_is_within_a_quarter_of_the_model() {
+        // The `chained_churn` benchmark's slot shape: b = 6, 16-bit κ in two u64
+        // words per bucket, a 1-byte count, and three 8-bit α packed into 3 bytes per
+        // slot — 16 + 1 + 18 = 35 B per bucket, plus the staged entry's 3 bytes.
+        let m = 1 << 12;
+        let mut f = ChainedCcf::new(CcfParams {
+            num_buckets: m,
+            entries_per_bucket: 6,
+            fingerprint_bits: 16,
+            attr_bits: 8,
+            num_attrs: 3,
+            ..CcfParams::default()
+        });
+        let model_bytes = f.size_bits() as f64 / 8.0;
+        assert_eq!(f.size_bits(), m * 6 * (16 + 3 * 8));
+        assert_eq!(f.occupancy().heap_bytes, m * (16 + 1 + 18) + 3);
+        assert!(f.occupancy().heap_bytes as f64 <= 1.25 * model_bytes);
+        // Churn adds only the kick and walk scratch buffers.
+        for key in 0..3000u64 {
+            for i in 0..(1 + key % 8) {
+                f.insert_row(key, &[i, key % 200, 7]).unwrap();
+            }
+        }
+        for key in (0..3000u64).step_by(2) {
+            assert_eq!(f.delete_row(key, &[0, key % 200, 7]), Ok(true));
+        }
+        let heap = f.occupancy().heap_bytes;
+        assert!(heap > m * 35, "churn keeps the scratch capacity");
+        assert!(heap as f64 <= 1.25 * model_bytes, "{heap} B");
     }
 
     #[test]

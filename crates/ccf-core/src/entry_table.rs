@@ -3,12 +3,15 @@
 //! A CCF slot is a key fingerprint κ plus a fixed-width attribute sketch (§4–§5, the
 //! |κ| + #α·|α| bits of Table 1). [`EntryTable`] keeps the fingerprints of all
 //! `m · b` slots in one [`PackedBuckets`], so key-only probes get its SWAR
-//! whole-bucket compare, and each slot's sketch at a fixed stride in one `Vec<u16>`
-//! payload slab indexed by slot — the flat layout of *Smaller and More Flexible
-//! Cuckoo Filters* (Zentgraf & Rahmann). The stride comes from the variant: the
-//! `num_attrs` attribute fingerprints (plain, chained), a Bloom sketch record
-//! (Bloom), or a tag word plus the fingerprints or a sketch handle (mixed). No slot
-//! owns a heap allocation.
+//! whole-bucket compare, and each slot's sketch at a fixed byte stride in one
+//! `Vec<u8>` payload slab indexed by slot — the flat layout of *Smaller and More
+//! Flexible Cuckoo Filters* (Zentgraf & Rahmann). The stride comes from the variant:
+//! the `num_attrs` attribute fingerprints bit-packed at `|α|` bits each
+//! ([`crate::attr::VectorCodec`], plain and chained), a Bloom sketch record (Bloom),
+//! or a tag byte plus the packed fingerprints or a sketch handle (mixed). With the
+//! 8-bit α of the `chained_churn` benchmark a slot's three fingerprints take 3 bytes
+//! instead of 6, and the filter's heap per live row falls from 13.9 B to about 9.2 B.
+//! No slot owns a heap allocation.
 //!
 //! Every bucket keeps its entries in a dense prefix of its slots, in the order the
 //! variants have always kept them: inserts append, kicks swap in place,
@@ -28,6 +31,7 @@ use ccf_hash::{Fingerprinter, HashFamily};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::attr::VectorCodec;
 use crate::instruments::CcfInstruments;
 use crate::outcome::{InsertFailure, InsertOutcome};
 use crate::params::CcfParams;
@@ -52,14 +56,17 @@ pub(crate) enum KickRule {
 #[derive(Debug, Clone)]
 pub(crate) struct EntryTable {
     keys: PackedBuckets,
-    /// `stride` words per slot; slot `s` of bucket `B` starts at `(B · b + s) · stride`.
-    payload: Vec<u16>,
+    /// `stride` bytes per slot; slot `s` of bucket `B` starts at `(B · b + s) · stride`.
+    payload: Vec<u8>,
     stride: usize,
     /// The staged entry's payload: the row being inserted, or the victim a kick
     /// carries.
-    staged: Vec<u16>,
+    staged: Vec<u8>,
     /// (bucket, slot) of every swap of the current kick walk, for rollback.
     swaps: Vec<(usize, usize)>,
+    /// Scratch a variant's chain walk borrows ([`EntryTable::take_walk`]), kept here
+    /// so its capacity is reused across calls and counted in the heap bytes.
+    walk: Vec<(usize, usize)>,
     geometry: SplitGeometry,
     fingerprinter: Fingerprinter,
     rng: StdRng,
@@ -67,7 +74,7 @@ pub(crate) struct EntryTable {
 
 impl EntryTable {
     /// An empty table for `params` (with `num_buckets` already a power of two),
-    /// `stride` payload words per slot, and kick victims drawn from `rng_seed`.
+    /// `stride` payload bytes per slot, and kick victims drawn from `rng_seed`.
     pub fn new(family: &HashFamily, params: &CcfParams, stride: usize, rng_seed: u64) -> Self {
         let (m, b) = (params.num_buckets, params.entries_per_bucket);
         Self {
@@ -76,6 +83,7 @@ impl EntryTable {
             stride,
             staged: vec![0; stride],
             swaps: Vec::new(),
+            walk: Vec::new(),
             geometry: SplitGeometry::new(family, m, 0),
             fingerprinter: Fingerprinter::new(family, params.fingerprint_bits),
             rng: StdRng::seed_from_u64(rng_seed),
@@ -139,23 +147,35 @@ impl EntryTable {
     }
 
     #[inline]
-    pub fn payload(&self, bucket: usize, slot: usize) -> &[u16] {
+    pub fn payload(&self, bucket: usize, slot: usize) -> &[u8] {
         let at = self.at(bucket, slot);
         &self.payload[at..at + self.stride]
     }
 
     #[inline]
-    pub fn payload_mut(&mut self, bucket: usize, slot: usize) -> &mut [u16] {
+    pub fn payload_mut(&mut self, bucket: usize, slot: usize) -> &mut [u8] {
         let at = self.at(bucket, slot);
         &mut self.payload[at..at + self.stride]
     }
 
-    pub fn staged(&self) -> &[u16] {
+    pub fn staged(&self) -> &[u8] {
         &self.staged
     }
 
-    pub fn staged_mut(&mut self) -> &mut [u16] {
+    pub fn staged_mut(&mut self) -> &mut [u8] {
         &mut self.staged
+    }
+
+    /// Borrow the walk scratch, empty; hand it back with [`EntryTable::return_walk`]
+    /// so its capacity is kept. Neither call allocates.
+    pub fn take_walk(&mut self) -> Vec<(usize, usize)> {
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clear();
+        walk
+    }
+
+    pub fn return_walk(&mut self, walk: Vec<(usize, usize)>) {
+        self.walk = walk;
     }
 
     /// Copy a slot's payload into the staged entry; returns its fingerprint.
@@ -364,8 +384,9 @@ impl EntryTable {
 
     pub fn heap_bytes(&self) -> usize {
         self.keys.heap_bytes()
-            + (self.payload.capacity() + self.staged.capacity()) * std::mem::size_of::<u16>()
-            + self.swaps.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.payload.capacity()
+            + self.staged.capacity()
+            + (self.swaps.capacity() + self.walk.capacity()) * std::mem::size_of::<(usize, usize)>()
     }
 
     /// Write the kick RNG's exact state.
@@ -379,7 +400,7 @@ impl EntryTable {
     pub fn write_buckets(
         &self,
         w: &mut ByteWriter,
-        mut slot: impl FnMut(&mut ByteWriter, u16, &[u16]),
+        mut slot: impl FnMut(&mut ByteWriter, u16, &[u8]),
     ) {
         for (bucket, &len) in self.keys.counts().iter().enumerate() {
             w.put_u16(u16::from(len));
@@ -399,7 +420,7 @@ impl EntryTable {
         growth_bits: u32,
         rng_state: [u64; 4],
         r: &mut ByteReader<'_>,
-        mut slot: impl FnMut(&mut ByteReader<'_>, &mut [u16]) -> Result<u16, SnapshotError>,
+        mut slot: impl FnMut(&mut ByteReader<'_>, &mut [u8]) -> Result<u16, SnapshotError>,
     ) -> Result<(), SnapshotError> {
         debug_assert_eq!(self.occupied(), 0);
         for _ in 0..growth_bits {
@@ -438,23 +459,22 @@ pub(crate) fn read_rng(r: &mut ByteReader<'_>) -> Result<[u64; 4], SnapshotError
 }
 
 /// Snapshot codec of a fingerprint-vector slot: κ, then one word per attribute.
-pub(crate) fn write_vector_slot(w: &mut ByteWriter, fp: u16, attrs: &[u16]) {
-    w.put_u16(fp);
-    for &a in attrs {
-        w.put_u16(a);
+pub(crate) fn write_vector_slot(codec: VectorCodec) -> impl FnMut(&mut ByteWriter, u16, &[u8]) {
+    move |w, fp, attrs| {
+        w.put_u16(fp);
+        codec.write(w, attrs);
     }
 }
 
 /// Inverse of [`write_vector_slot`].
 pub(crate) fn read_vector_slot(
-    r: &mut ByteReader<'_>,
-    attrs: &mut [u16],
-) -> Result<u16, SnapshotError> {
-    let fp = r.get_u16()?;
-    for a in attrs {
-        *a = r.get_u16()?;
+    codec: VectorCodec,
+) -> impl FnMut(&mut ByteReader<'_>, &mut [u8]) -> Result<u16, SnapshotError> {
+    move |r, attrs| {
+        let fp = r.get_u16()?;
+        codec.read(r, attrs)?;
+        Ok(fp)
     }
-    Ok(fp)
 }
 
 #[cfg(test)]
@@ -473,14 +493,18 @@ mod tests {
         EntryTable::new(&HashFamily::new(5), &params(num_buckets, b), 2, 9)
     }
 
-    /// Stage payload `[fp, fp + 1]` and append it to `bucket`.
+    /// Stage payload `[fp, fp + 1]` (as bytes) and append it to `bucket`.
     fn push(t: &mut EntryTable, bucket: usize, fp: u16) -> bool {
-        t.staged_mut().copy_from_slice(&[fp, fp + 1]);
+        t.staged_mut().copy_from_slice(&payload_of(fp));
         t.push_staged(bucket, fp)
     }
 
+    fn payload_of(fp: u16) -> [u8; 2] {
+        [fp as u8, fp as u8 + 1]
+    }
+
     /// Every bucket's (κ, payload) entries in slot order, checking the dense prefix.
-    fn contents(t: &EntryTable) -> Vec<Vec<(u16, Vec<u16>)>> {
+    fn contents(t: &EntryTable) -> Vec<Vec<(u16, Vec<u8>)>> {
         (0..t.num_buckets())
             .map(|bucket| {
                 let b = t.keys().entries_per_bucket();
@@ -506,7 +530,7 @@ mod tests {
             contents(&t)[1],
             expected
                 .iter()
-                .map(|&fp| (fp, vec![fp, fp + 1]))
+                .map(|&fp| (fp, payload_of(fp).to_vec()))
                 .collect::<Vec<_>>()
         );
         assert!(push(&mut t, 1, 60));
@@ -568,8 +592,9 @@ mod tests {
         t.grow();
         t.swap_remove(1, 0);
         let expected = t.keys.heap_bytes()
-            + 2 * (t.payload.capacity() + t.staged.capacity())
-            + std::mem::size_of::<(usize, usize)>() * t.swaps.capacity();
+            + t.payload.capacity()
+            + t.staged.capacity()
+            + std::mem::size_of::<(usize, usize)>() * (t.swaps.capacity() + t.walk.capacity());
         assert_eq!(t.occupancy().heap_bytes, expected);
         assert!(t.payload.capacity() >= 32 * 4 * 2);
     }
@@ -583,7 +608,7 @@ mod tests {
         let err = (0..1000u64)
             .find_map(|key| {
                 let (fp, l, alt) = t.pair_of(key);
-                t.staged_mut().copy_from_slice(&[fp, fp]);
+                t.staged_mut().copy_from_slice(&[fp as u8, (fp >> 8) as u8]);
                 t.place_staged(fp, (l, alt), KickRule::CoinTestAfter, 500, &instruments)
                     .err()
             })

@@ -12,9 +12,9 @@
 //! have few duplicates.
 //!
 //! In-memory representation: every slot lives in the shared entry table; its payload
-//! is a tag word, then either the row's attribute fingerprints (a vector slot), the
-//! handle of the group's sketch record (the head of a converted group), or nothing (a
-//! continuation slot). A converted group is one head and `d − 1` continuations in the
+//! is a tag byte, then either the row's packed attribute fingerprints (a vector
+//! slot), the handle of the group's sketch record (the head of a converted group), or
+//! nothing (a continuation slot). A converted group is one head and `d − 1` continuations in the
 //! slots the fingerprint vectors held; the sketch record itself sits at a fixed stride
 //! in a per-filter arena (the paper packs the Bloom's bits across the group's entries;
 //! we keep the logical layout and account for the same number of bits). Cuckoo kicks
@@ -29,7 +29,7 @@ use ccf_cuckoo::{GrowthStats, OccupancyStats};
 use ccf_hash::{AttrFingerprinter, HashFamily};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::{match_fingerprint_bloom, match_fingerprint_vector, SketchFormat};
+use crate::attr::{match_fingerprint_bloom, match_fingerprint_vector, SketchFormat, VectorCodec};
 use crate::entry_table::{read_rng, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -37,14 +37,16 @@ use crate::outcome::{DeleteFailure, InsertFailure, InsertOutcome};
 use crate::params::{CcfParams, ParamsError};
 use crate::predicate::Predicate;
 
-/// Payload tag (word 0) of a fingerprint-vector slot: words `1..=num_attrs` hold the
-/// row's attribute fingerprints. The tags double as the snapshot's entry tags.
-const VECTOR: u16 = 0;
-/// Payload tag of a converted group's head: words 1 and 2 hold its sketch handle.
-const HEAD: u16 = 1;
+/// Payload tag (byte 0) of a fingerprint-vector slot: the bytes after it hold the
+/// row's packed attribute fingerprints. The tags double as the snapshot's entry tags.
+const VECTOR: u8 = 0;
+/// Payload tag of a converted group's head: bytes 1..5 hold its sketch handle.
+const HEAD: u8 = 1;
 /// Payload tag of a converted group's continuation slot (its bits belong to the head's
 /// sketch).
-const CONTINUATION: u16 = 2;
+const CONTINUATION: u8 = 2;
+/// Bytes of a head slot's sketch handle, a little-endian `u32`.
+const HANDLE_BYTES: usize = 4;
 
 /// Conditional cuckoo filter with Bloom conversion for heavily duplicated keys.
 #[derive(Debug, Clone)]
@@ -52,10 +54,12 @@ pub struct MixedCcf {
     table: EntryTable,
     params: CcfParams,
     attr_fp: AttrFingerprinter,
+    /// The packed layout of a vector slot's attribute fingerprints.
+    codec: VectorCodec,
     sketch: SketchFormat,
-    /// The converted groups' sketch records, `sketch.words()` words each; a head
+    /// The converted groups' sketch records, `sketch.bytes()` bytes each; a head
     /// slot's handle indexes them.
-    sketches: Vec<u16>,
+    sketches: Vec<u8>,
     key_lower: ccf_hash::SaltedHasher,
     rows_absorbed: usize,
     conversions: usize,
@@ -89,11 +93,13 @@ impl MixedCcf {
             params.max_dupes,
             params.num_attrs,
         );
-        // The tag word, then room for the attribute fingerprints or a 32-bit handle.
-        let stride = 1 + params.num_attrs.max(2);
+        // The tag byte, then room for the attribute fingerprints or a 32-bit handle.
+        let codec = VectorCodec::new(params.attr_bits, params.num_attrs);
+        let stride = 1 + codec.bytes().max(HANDLE_BYTES);
         Ok(Self {
             table: EntryTable::new(&family, &params, stride, params.seed ^ 0x30D),
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
+            codec,
             sketch: SketchFormat::new(
                 params.conversion_bloom_bits(),
                 conversion_hashes,
@@ -117,14 +123,10 @@ impl MixedCcf {
         w.put_usize(self.rows_absorbed);
         w.put_usize(self.conversions);
         self.table.write_buckets(w, |w, fp, payload| {
-            w.put_u8(payload[0] as u8);
+            w.put_u8(payload[0]);
             w.put_u16(fp);
             match payload[0] {
-                VECTOR => {
-                    for &a in self.attrs(payload) {
-                        w.put_u16(a);
-                    }
-                }
+                VECTOR => self.codec.write(w, self.attrs(payload)),
                 HEAD => self.sketch.write(w, self.record(payload)),
                 _ => {}
             }
@@ -145,22 +147,17 @@ impl MixedCcf {
         let rows_absorbed = r.get_usize()?;
         let conversions = r.get_usize()?;
         let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
-        let (sketch, sketches) = (&f.sketch, &mut f.sketches);
-        let attrs = 1..1 + params.num_attrs;
+        let (codec, sketch, sketches) = (f.codec, &f.sketch, &mut f.sketches);
         f.table.restore(growth_bits, rng, r, |r, payload| {
             let tag = r.get_u8()?;
             let fp = r.get_u16()?;
-            payload[0] = u16::from(tag);
-            match u16::from(tag) {
-                VECTOR => {
-                    for a in &mut payload[attrs.clone()] {
-                        *a = r.get_u16()?;
-                    }
-                }
+            payload[0] = tag;
+            match tag {
+                VECTOR => codec.read(r, &mut payload[1..1 + codec.bytes()])?,
                 HEAD => {
-                    set_handle(payload, sketches.len() / sketch.words());
-                    sketches.resize(sketches.len() + sketch.words(), 0);
-                    let at = sketches.len() - sketch.words();
+                    set_handle(payload, sketches.len() / sketch.bytes());
+                    sketches.resize(sketches.len() + sketch.bytes(), 0);
+                    let at = sketches.len() - sketch.bytes();
                     sketch.read(r, &mut sketches[at..])?;
                 }
                 CONTINUATION => {}
@@ -242,7 +239,7 @@ impl MixedCcf {
     /// table and of the sketch arena.
     pub fn occupancy(&self) -> OccupancyStats {
         let occ = self.table.occupancy();
-        occ.with_heap_bytes(occ.heap_bytes + self.sketches.capacity() * std::mem::size_of::<u16>())
+        occ.with_heap_bytes(occ.heap_bytes + self.sketches.capacity())
     }
 
     /// Resize-history summary.
@@ -250,15 +247,15 @@ impl MixedCcf {
         self.table.growth_stats()
     }
 
-    /// A vector slot's attribute fingerprints.
-    fn attrs<'a>(&self, payload: &'a [u16]) -> &'a [u16] {
-        &payload[1..1 + self.params.num_attrs]
+    /// A vector slot's packed attribute fingerprints.
+    fn attrs<'a>(&self, payload: &'a [u8]) -> &'a [u8] {
+        &payload[1..1 + self.codec.bytes()]
     }
 
     /// A head slot's sketch record.
-    fn record(&self, payload: &[u16]) -> &[u16] {
-        let at = handle(payload) * self.sketch.words();
-        &self.sketches[at..at + self.sketch.words()]
+    fn record(&self, payload: &[u8]) -> &[u8] {
+        let at = handle(payload) * self.sketch.bytes();
+        &self.sketches[at..at + self.sketch.bytes()]
     }
 
     /// Stage a vector entry for `attrs`.
@@ -266,7 +263,8 @@ impl MixedCcf {
         let staged = self.table.staged_mut();
         staged.fill(0);
         staged[0] = VECTOR;
-        self.attr_fp.fingerprint_into(attrs, &mut staged[1..]);
+        let packed = &mut staged[1..1 + self.codec.bytes()];
+        self.codec.pack_row(&self.attr_fp, attrs, packed);
     }
 
     /// Double the filter's capacity, migrating entries by their stored fingerprints
@@ -335,12 +333,10 @@ impl MixedCcf {
         }
         // 1. Existing converted group for this fingerprint → merge.
         if let Some(handle) = head {
-            let at = handle * self.sketch.words();
-            let record = &mut self.sketches[at..at + self.sketch.words()];
-            for (col, &afp) in self.table.staged()[1..1 + self.params.num_attrs]
-                .iter()
-                .enumerate()
-            {
+            let at = handle * self.sketch.bytes();
+            let record = &mut self.sketches[at..at + self.sketch.bytes()];
+            let staged = &self.table.staged()[1..1 + self.codec.bytes()];
+            for (col, afp) in self.codec.unpack(staged).enumerate() {
                 self.sketch.insert_pair(record, col, u64::from(afp));
             }
             return Ok(InsertOutcome::Merged);
@@ -374,12 +370,12 @@ impl MixedCcf {
     /// Algorithm 3: replace the `d` vector entries for `fp` in the pair (and the staged
     /// row's fingerprints) with a single Bloom group occupying the same slots.
     fn convert(&mut self, fp: u16, l: usize, l_alt: usize) {
-        let words = self.sketch.words();
-        let handle = self.sketches.len() / words;
-        self.sketches.resize(self.sketches.len() + words, 0);
-        let record = &mut self.sketches[handle * words..];
-        let n = self.params.num_attrs;
-        for (col, &afp) in self.table.staged()[1..1 + n].iter().enumerate() {
+        let bytes = self.sketch.bytes();
+        let handle = self.sketches.len() / bytes;
+        self.sketches.resize(self.sketches.len() + bytes, 0);
+        let record = &mut self.sketches[handle * bytes..];
+        let (codec, n) = (self.codec, self.codec.bytes());
+        for (col, afp) in codec.unpack(&self.table.staged()[1..1 + n]).enumerate() {
             self.sketch.insert_pair(record, col, u64::from(afp));
         }
         // Remove the existing vector entries for this fingerprint, remembering which
@@ -391,7 +387,7 @@ impl MixedCcf {
             while slot < self.table.len(bucket) {
                 let payload = self.table.payload(bucket, slot);
                 if self.table.fp(bucket, slot) == fp && payload[0] == VECTOR {
-                    for (col, &afp) in payload[1..1 + n].iter().enumerate() {
+                    for (col, afp) in codec.unpack(&payload[1..1 + n]).enumerate() {
                         self.sketch.insert_pair(record, col, u64::from(afp));
                     }
                     self.table.swap_remove(bucket, slot);
@@ -551,7 +547,7 @@ impl MixedCcf {
 
     /// Whether a slot's payload may hold a row matching `pred` (continuation slots
     /// never answer; their group's head does).
-    fn matches(&self, payload: &[u16], pred: &Predicate) -> bool {
+    fn matches(&self, payload: &[u8], pred: &Predicate) -> bool {
         match payload[0] {
             VECTOR => match_fingerprint_vector(pred, self.attrs(payload), &self.attr_fp),
             HEAD => {
@@ -633,14 +629,15 @@ impl MixedCcf {
     }
 }
 
-/// A head slot's sketch handle (words 1 and 2).
-fn handle(payload: &[u16]) -> usize {
-    usize::from(payload[1]) | usize::from(payload[2]) << 16
+/// A head slot's sketch handle (bytes 1..5).
+fn handle(payload: &[u8]) -> usize {
+    let mut le = [0; HANDLE_BYTES];
+    le.copy_from_slice(&payload[1..1 + HANDLE_BYTES]);
+    u32::from_le_bytes(le) as usize
 }
 
-fn set_handle(payload: &mut [u16], handle: usize) {
-    payload[1] = handle as u16;
-    payload[2] = (handle >> 16) as u16;
+fn set_handle(payload: &mut [u8], handle: usize) {
+    payload[1..1 + HANDLE_BYTES].copy_from_slice(&(handle as u32).to_le_bytes());
 }
 
 #[cfg(test)]
@@ -1009,8 +1006,8 @@ mod tests {
         assert!(f.growth_bits() >= 1 && f.conversions() >= 80);
         assert_eq!(
             f.occupancy().heap_bytes,
-            f.table.heap_bytes() + 2 * f.sketches.capacity()
+            f.table.heap_bytes() + f.sketches.capacity()
         );
-        assert!(f.sketches.capacity() >= f.conversions() * f.sketch.words());
+        assert!(f.sketches.capacity() >= f.conversions() * f.sketch.bytes());
     }
 }

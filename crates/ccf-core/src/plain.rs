@@ -15,7 +15,7 @@ use ccf_hash::salted::purpose;
 use ccf_hash::{AttrFingerprinter, HashFamily, SaltedHasher};
 use ccf_telemetry::Telemetry;
 
-use crate::attr::match_fingerprint_vector;
+use crate::attr::{match_fingerprint_vector, VectorCodec};
 use crate::entry_table::{read_rng, read_vector_slot, write_vector_slot, EntryTable, KickRule};
 use crate::instruments::CcfInstruments;
 use crate::key::FilterKey;
@@ -30,6 +30,8 @@ pub struct PlainCcf {
     table: EntryTable,
     params: CcfParams,
     attr_fp: AttrFingerprinter,
+    /// The packed layout of a slot's attribute fingerprints.
+    codec: VectorCodec,
     key_lower: SaltedHasher,
     rows_absorbed: usize,
     instruments: CcfInstruments,
@@ -51,8 +53,10 @@ impl PlainCcf {
         params.num_buckets = params.num_buckets.next_power_of_two().max(1);
         params.try_validate()?;
         let family = HashFamily::new(params.seed);
+        let codec = VectorCodec::new(params.attr_bits, params.num_attrs);
         Ok(Self {
-            table: EntryTable::new(&family, &params, params.num_attrs, params.seed ^ 0x9A1C),
+            table: EntryTable::new(&family, &params, codec.bytes(), params.seed ^ 0x9A1C),
+            codec,
             attr_fp: AttrFingerprinter::new(&family, params.attr_bits, params.small_value_opt),
             key_lower: family.hasher(purpose::KEY_LOWER),
             rows_absorbed: 0,
@@ -68,7 +72,7 @@ impl PlainCcf {
         w.put_u32(self.growth_bits());
         self.table.write_rng(w);
         w.put_usize(self.rows_absorbed);
-        self.table.write_buckets(w, write_vector_slot);
+        self.table.write_buckets(w, write_vector_slot(self.codec));
     }
 
     /// Inverse of [`PlainCcf::snapshot_payload`]: rebuild hashers and geometry from
@@ -83,7 +87,8 @@ impl PlainCcf {
         let rng = read_rng(r)?;
         let rows_absorbed = r.get_usize()?;
         let mut f = crate::snapshot::at_base_size(params, growth_bits, Self::try_new)?;
-        f.table.restore(growth_bits, rng, r, read_vector_slot)?;
+        f.table
+            .restore(growth_bits, rng, r, read_vector_slot(f.codec))?;
         f.params.num_buckets = params.num_buckets;
         f.rows_absorbed = rows_absorbed;
         Ok(f)
@@ -210,8 +215,8 @@ impl PlainCcf {
 
     fn try_insert_row(&mut self, key: u64, attrs: &[u64]) -> Result<InsertOutcome, InsertFailure> {
         let (fp, l, alt) = self.table.pair_of(key);
-        self.attr_fp
-            .fingerprint_into(attrs, self.table.staged_mut());
+        self.codec
+            .pack_row(&self.attr_fp, attrs, self.table.staged_mut());
         self.rows_absorbed += 1;
 
         // Dedupe exact (κ, α) duplicates.
@@ -260,8 +265,8 @@ impl PlainCcf {
     pub fn delete_row_prehashed(&mut self, key: u64, attrs: &[u64]) -> Result<bool, DeleteFailure> {
         let result = match self.params.check_delete_arity(attrs) {
             Ok(()) => {
-                self.attr_fp
-                    .fingerprint_into(attrs, self.table.staged_mut());
+                self.codec
+                    .pack_row(&self.attr_fp, attrs, self.table.staged_mut());
                 Ok(self.remove_matching(key, true))
             }
             Err(e) => Err(e),
@@ -764,7 +769,8 @@ mod tests {
         assert!(f.growth_bits() >= 2, "the test must cover grown tables");
         let heap = f.occupancy().heap_bytes;
         assert_eq!(heap, f.table.heap_bytes());
-        // At least the slots' fingerprints and attribute words (2 + 2·2 bytes each).
+        // The slots' fingerprints and packed attribute fingerprints (2 + 2·1 bytes
+        // each) plus the kick rollback log of a grown table.
         assert!(
             heap >= f.capacity() * 6,
             "{heap} B for {} slots",

@@ -202,3 +202,26 @@ fn nonzero_storage_byte_is_a_typed_error() {
         other => panic!("expected Invalid, got {other:?}"),
     }
 }
+
+/// The packed slab holds `attr_bits` bits per attribute fingerprint, so an image
+/// whose stored fingerprint is wider must fail typed instead of loading truncated.
+#[test]
+fn attribute_fingerprint_wider_than_attr_bits_is_a_typed_error() {
+    for kind in [VariantKind::Plain, VariantKind::Chained, VariantKind::Mixed] {
+        let mut filter = AnyCcf::try_new(kind, params(3)).unwrap();
+        // Values below 2^8 are stored exactly: the slot's snapshot words are
+        // 0x00AB, 0x00CD, which appear nowhere else in the image.
+        filter.insert_row(5u64, &[0xAB, 0xCD]).unwrap();
+        let mut img = filter.to_snapshot_bytes();
+        assert!(AnyCcf::from_snapshot_bytes(&img).is_ok());
+        let at = img
+            .windows(4)
+            .position(|w| w == [0xAB, 0x00, 0xCD, 0x00])
+            .expect("the slot's attribute words are in the image");
+        img[at + 1] = 0x01; // 0x01AB needs 9 bits
+        match AnyCcf::from_snapshot_bytes(&reseal(img)) {
+            Err(SnapshotError::Invalid(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("{kind:?}: expected Invalid, got {other:?}"),
+        }
+    }
+}

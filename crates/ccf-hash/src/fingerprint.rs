@@ -135,17 +135,11 @@ impl AttrFingerprinter {
 
     /// Fingerprint an entire attribute vector.
     pub fn fingerprint_vector(&self, values: &[u64]) -> Vec<u16> {
-        let mut out = vec![0; values.len()];
-        self.fingerprint_into(values, &mut out);
-        out
-    }
-
-    /// [`AttrFingerprinter::fingerprint_vector`] into a caller's buffer, one word per
-    /// column, so a hot path need not allocate.
-    pub fn fingerprint_into(&self, values: &[u64], out: &mut [u16]) {
-        for (col, (&v, slot)) in values.iter().zip(out).enumerate() {
-            *slot = self.fingerprint(col, v);
-        }
+        values
+            .iter()
+            .enumerate()
+            .map(|(col, &v)| self.fingerprint(col, v))
+            .collect()
     }
 }
 

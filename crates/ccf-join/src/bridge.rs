@@ -112,19 +112,21 @@ pub fn column_is_binned(table: TableId, column: usize) -> bool {
 /// The attribute vector a CCF stores for one row of a table: the raw predicate-column
 /// values, with `production_year` replaced by its bin id.
 pub fn ccf_attrs_for_row(table: &SyntheticTable, row: usize) -> Vec<u64> {
-    let binning = production_year_binning();
-    table
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(ci, col)| {
-            if column_is_binned(table.id, ci) {
-                binning.bin_of(col[row])
-            } else {
-                col[row]
-            }
-        })
-        .collect()
+    let mut attrs = Vec::with_capacity(table.columns.len());
+    ccf_attrs_into(table, row, &production_year_binning(), &mut attrs);
+    attrs
+}
+
+/// [`ccf_attrs_for_row`] appended to `out`, with the `production_year` binning
+/// passed in, so a loop over a table's rows reuses one buffer and one binning.
+pub fn ccf_attrs_into(table: &SyntheticTable, row: usize, binning: &Binning, out: &mut Vec<u64>) {
+    out.extend(table.columns.iter().enumerate().map(|(ci, col)| {
+        if column_is_binned(table.id, ci) {
+            binning.bin_of(col[row])
+        } else {
+            col[row]
+        }
+    }));
 }
 
 /// Evaluate a single query predicate against one raw row of a table, reporting

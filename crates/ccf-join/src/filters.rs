@@ -18,7 +18,7 @@ use ccf_cuckoo::{CuckooFilter, CuckooFilterParams};
 use ccf_telemetry::{buckets, Counter, Telemetry};
 use ccf_workloads::imdb::{spec_of, SyntheticImdb, SyntheticTable, TableId};
 
-use crate::bridge::ccf_attrs_for_row;
+use crate::bridge::{ccf_attrs_into, production_year_binning};
 
 /// Per-table probe counters for a filter bank: keys probed through the bank's batch
 /// entry points, split by probe kind. Disabled (free) unless the bank was built with
@@ -202,8 +202,11 @@ impl FilterBank {
             ccf.attach_telemetry(telemetry, &labels);
         }
         let mut failed_rows = 0usize;
+        let binning = production_year_binning();
+        let mut attrs = Vec::with_capacity(table.columns.len());
         for row in 0..table.num_rows() {
-            let attrs = ccf_attrs_for_row(table, row);
+            attrs.clear();
+            ccf_attrs_into(table, row, &binning, &mut attrs);
             if ccf.insert_row(table.join_keys[row], &attrs).is_err() {
                 failed_rows += 1;
             }

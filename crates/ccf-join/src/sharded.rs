@@ -23,7 +23,7 @@ use ccf_workloads::joblight::JobLightWorkload;
 
 use ccf_telemetry::Telemetry;
 
-use crate::bridge::ccf_attrs_for_row;
+use crate::bridge::{ccf_attrs_into, production_year_binning};
 use crate::filters::{bank_build_timer, FilterConfig, ProbeCounters};
 use crate::reduction::{evaluate_workload_with, InstanceResult, ProbeBank};
 
@@ -147,8 +147,14 @@ impl ShardedFilterBank {
         if telemetry.is_enabled() {
             ccf.attach_telemetry(telemetry, &labels);
         }
-        let rows: Vec<(u64, Vec<u64>)> = (0..table.num_rows())
-            .map(|row| (table.join_keys[row], ccf_attrs_for_row(table, row)))
+        // Every row's attributes in one flat buffer, sliced per row.
+        let (width, binning) = (table.columns.len(), production_year_binning());
+        let mut flat = Vec::with_capacity(table.num_rows() * width);
+        for row in 0..table.num_rows() {
+            ccf_attrs_into(table, row, &binning, &mut flat);
+        }
+        let rows: Vec<(u64, &[u64])> = (0..table.num_rows())
+            .map(|row| (table.join_keys[row], &flat[row * width..(row + 1) * width]))
             .collect();
         let failed_rows = ccf
             .insert_batch(&rows)

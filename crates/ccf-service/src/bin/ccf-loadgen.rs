@@ -9,7 +9,8 @@
 //! a daemon — one started in-process with `--embedded` (and shut down gracefully at
 //! the end), or a remote one via `--addr`. Every response folds into a
 //! [`StreamDigest`], batch latencies land in telemetry histograms, and the run
-//! prints throughput, p50/p99 latencies and the final digest. Any protocol error
+//! prints throughput, exact p50/p99 batch round-trip times (from every recorded
+//! batch, not a histogram bucket bound) and the final digest. Any protocol error
 //! fails the run with a non-zero exit code. `--shutdown` sends a graceful-shutdown
 //! frame to a `--addr` daemon at the end of the run.
 
@@ -17,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ccf_service::{daemon, Client, DaemonConfig, StreamDigest, TenantSpec};
-use ccf_telemetry::{buckets, HistogramSnapshot, Telemetry};
+use ccf_telemetry::{buckets, Histogram, Telemetry};
 
 struct Args {
     addr: Option<String>,
@@ -119,21 +120,34 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(out)
 }
 
-/// Upper-bound quantile estimate from a bucketed histogram.
-fn quantile(h: &HistogramSnapshot, q: f64) -> u64 {
-    let total = h.count();
-    if total == 0 {
+/// The nearest-rank `q` quantile of `samples` (sorted in place): the smallest
+/// sample with at least a fraction `q` of all samples at or below it; 0 when empty.
+fn quantile(samples: &mut [u64], q: f64) -> u64 {
+    if samples.is_empty() {
         return 0;
     }
-    let target = ((total as f64) * q).ceil() as u64;
-    let mut seen = 0;
-    for (i, &c) in h.counts.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return h.bounds.get(i).copied().unwrap_or(u64::MAX);
-        }
+    samples.sort_unstable();
+    let rank = ((samples.len() as f64) * q).ceil() as usize;
+    samples[rank.clamp(1, samples.len()) - 1]
+}
+
+/// One op's batch round-trip times: each in nanoseconds for exact quantiles, and
+/// in the op's telemetry histogram series.
+struct BatchTimes {
+    hist: Histogram,
+    ns: Vec<u64>,
+}
+
+impl BatchTimes {
+    /// Run one wire batch and record its round trip.
+    fn time<T>(&mut self, batch: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = batch();
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.hist.observe(ns);
+        self.ns.push(ns);
+        out
     }
-    u64::MAX
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -164,18 +178,19 @@ fn run(args: Args) -> Result<(), String> {
     client.ping().map_err(|e| format!("ping failed: {e}"))?;
 
     let telemetry = Telemetry::enabled();
-    let lat = |op: &str| {
-        telemetry.histogram(
+    let lat = |op: &str| BatchTimes {
+        hist: telemetry.histogram(
             "loadgen_batch_latency_ns",
             "Wall-clock nanoseconds per wire batch",
             &buckets::latency_ns(),
             &[("op", op)],
-        )
+        ),
+        ns: Vec::new(),
     };
-    let insert_lat = lat("insert");
-    let query_lat = lat("query");
-    let contains_lat = lat("contains");
-    let delete_lat = lat("delete");
+    let mut insert_lat = lat("insert");
+    let mut query_lat = lat("query");
+    let mut contains_lat = lat("contains");
+    let mut delete_lat = lat("delete");
 
     let mut digest = StreamDigest::new();
     let mix = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
@@ -186,11 +201,9 @@ fn run(args: Args) -> Result<(), String> {
         .collect();
     let t0 = Instant::now();
     for chunk in rows.chunks(args.batch) {
-        let timer = insert_lat.start_timer();
-        let codes = client
-            .insert_rows(args.tenant, chunk)
+        let codes = insert_lat
+            .time(|| client.insert_rows(args.tenant, chunk))
             .map_err(|e| format!("insert batch failed: {e}"))?;
-        timer.observe_duration();
         digest.update(&codes);
     }
     let insert_secs = t0.elapsed().as_secs_f64();
@@ -208,22 +221,18 @@ fn run(args: Args) -> Result<(), String> {
     let pred = ccf_core::Predicate::any(2).and_eq(0, 3);
     let t1 = Instant::now();
     for chunk in pred_keys.chunks(args.batch) {
-        let timer = query_lat.start_timer();
-        let hits = client
-            .query(args.tenant, chunk, &pred)
+        let hits = query_lat
+            .time(|| client.query(args.tenant, chunk, &pred))
             .map_err(|e| format!("query batch failed: {e}"))?;
-        timer.observe_duration();
         digest.update_bools(&hits);
     }
     let query_secs = t1.elapsed().as_secs_f64();
 
     // Key-only membership.
     for chunk in pred_keys.chunks(args.batch) {
-        let timer = contains_lat.start_timer();
-        let hits = client
-            .contains(args.tenant, chunk)
+        let hits = contains_lat
+            .time(|| client.contains(args.tenant, chunk))
             .map_err(|e| format!("contains batch failed: {e}"))?;
-        timer.observe_duration();
         digest.update_bools(&hits);
     }
 
@@ -231,11 +240,9 @@ fn run(args: Args) -> Result<(), String> {
     // groups — the refusal codes are part of the digest, not an error).
     let victims: Vec<(u64, Vec<u64>)> = rows.iter().step_by(10).cloned().collect();
     for chunk in victims.chunks(args.batch) {
-        let timer = delete_lat.start_timer();
-        let codes = client
-            .delete_rows(args.tenant, chunk)
+        let codes = delete_lat
+            .time(|| client.delete_rows(args.tenant, chunk))
             .map_err(|e| format!("delete batch failed: {e}"))?;
-        timer.observe_duration();
         digest.update(&codes);
     }
 
@@ -254,16 +261,18 @@ fn run(args: Args) -> Result<(), String> {
         "  queries:  {:>10.0} keys/s",
         args.queries as f64 / query_secs.max(1e-9)
     );
-    let snap = telemetry.snapshot();
-    for op in ["insert", "query", "contains", "delete"] {
-        if let Some(h) = snap.histogram("loadgen_batch_latency_ns", &[("op", op)]) {
-            println!(
-                "  {op:>8} batch latency: p50 <= {} ns, p99 <= {} ns ({} batches)",
-                quantile(h, 0.50),
-                quantile(h, 0.99),
-                h.count()
-            );
-        }
+    for (op, times) in [
+        ("insert", &mut insert_lat),
+        ("query", &mut query_lat),
+        ("contains", &mut contains_lat),
+        ("delete", &mut delete_lat),
+    ] {
+        println!(
+            "  {op:>8} batch latency: p50 {} ns, p99 {} ns ({} batches)",
+            quantile(&mut times.ns, 0.50),
+            quantile(&mut times.ns, 0.99),
+            times.ns.len()
+        );
     }
     println!(
         "  tenant stats: shards={} occupied={} load_factor={:.3} doublings={}",
@@ -303,5 +312,25 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_are_exact_nearest_rank_samples() {
+        // 1..=100 in shuffled order: the p50 is the 50th smallest, the p99 the 99th.
+        let mut samples: Vec<u64> = (1..=100u64).map(|i| (i * 37) % 101).collect();
+        assert_eq!(quantile(&mut samples, 0.50), 50);
+        assert_eq!(quantile(&mut samples, 0.99), 99);
+        assert_eq!(quantile(&mut samples, 1.0), 100);
+        // A 2× change in round-trip time shows as 2×, whatever bucket it falls in.
+        let mut slow: Vec<u64> = samples.iter().map(|ns| 2 * ns).collect();
+        assert_eq!(quantile(&mut slow, 0.50), 100);
+        let mut one = vec![7_000];
+        assert_eq!(quantile(&mut one, 0.99), 7_000);
+        assert_eq!(quantile(&mut [], 0.5), 0);
     }
 }
