@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::attr::VectorCodec;
+use crate::chained::ChainStep;
 use crate::instruments::CcfInstruments;
 use crate::outcome::{InsertFailure, InsertOutcome};
 use crate::params::CcfParams;
@@ -64,9 +65,9 @@ pub(crate) struct EntryTable {
     staged: Vec<u8>,
     /// (bucket, slot) of every swap of the current kick walk, for rollback.
     swaps: Vec<(usize, usize)>,
-    /// Scratch a variant's chain walk borrows ([`EntryTable::take_walk`]), kept here
-    /// so its capacity is reused across calls and counted in the heap bytes.
-    walk: Vec<(usize, usize)>,
+    /// Scratch the chained variant's delete walk borrows ([`EntryTable::take_walk`]),
+    /// kept here so its capacity is reused across calls and counted in the heap bytes.
+    walk: Vec<ChainStep>,
     geometry: SplitGeometry,
     fingerprinter: Fingerprinter,
     rng: StdRng,
@@ -168,13 +169,13 @@ impl EntryTable {
 
     /// Borrow the walk scratch, empty; hand it back with [`EntryTable::return_walk`]
     /// so its capacity is kept. Neither call allocates.
-    pub fn take_walk(&mut self) -> Vec<(usize, usize)> {
+    pub fn take_walk(&mut self) -> Vec<ChainStep> {
         let mut walk = std::mem::take(&mut self.walk);
         walk.clear();
         walk
     }
 
-    pub fn return_walk(&mut self, walk: Vec<(usize, usize)>) {
+    pub fn return_walk(&mut self, walk: Vec<ChainStep>) {
         self.walk = walk;
     }
 
@@ -229,6 +230,17 @@ impl EntryTable {
     pub fn prefetch(&self, bucket: usize) {
         self.keys.prefetch(bucket);
         prefetch_index(&self.payload, self.at(bucket, 0));
+    }
+
+    /// Best-effort prefetch of everything an insert or delete reads of the pair
+    /// (ℓ, ℓ′) — fingerprints, payloads and the occupancy count bytes — so the three
+    /// fetches overlap instead of following one another.
+    #[inline(always)]
+    pub fn prefetch_for_update(&self, l: usize, alt: usize) {
+        for bucket in [l, alt].into_iter().take(if l == alt { 1 } else { 2 }) {
+            self.prefetch(bucket);
+            prefetch_index(self.keys.counts(), bucket);
+        }
     }
 
     /// Append the staged entry, under fingerprint `fp`, to `bucket` if it has room.
@@ -386,7 +398,8 @@ impl EntryTable {
         self.keys.heap_bytes()
             + self.payload.capacity()
             + self.staged.capacity()
-            + (self.swaps.capacity() + self.walk.capacity()) * std::mem::size_of::<(usize, usize)>()
+            + self.swaps.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.walk.capacity() * std::mem::size_of::<ChainStep>()
     }
 
     /// Write the kick RNG's exact state.
@@ -594,7 +607,8 @@ mod tests {
         let expected = t.keys.heap_bytes()
             + t.payload.capacity()
             + t.staged.capacity()
-            + std::mem::size_of::<(usize, usize)>() * (t.swaps.capacity() + t.walk.capacity());
+            + std::mem::size_of::<(usize, usize)>() * t.swaps.capacity()
+            + std::mem::size_of::<ChainStep>() * t.walk.capacity();
         assert_eq!(t.occupancy().heap_bytes, expected);
         assert!(t.payload.capacity() >= 32 * 4 * 2);
     }

@@ -55,19 +55,25 @@ impl DuplicationProfile {
         }
     }
 
-    /// Build a profile by scanning raw (key, attribute-vector) rows.
+    /// Build a profile by scanning raw (key, attribute-vector) rows: sorted and
+    /// deduplicated in one buffer of borrowed rows, each key's distinct vectors form
+    /// one run. Counts come in key order.
     pub fn from_rows<'a, I>(rows: I) -> Self
     where
         I: IntoIterator<Item = (u64, &'a [u64])>,
     {
-        use std::collections::{HashMap, HashSet};
-        let mut per_key: HashMap<u64, HashSet<Vec<u64>>> = HashMap::new();
-        for (key, attrs) in rows {
-            per_key.entry(key).or_default().insert(attrs.to_vec());
+        let mut rows: Vec<(u64, &[u64])> = rows.into_iter().collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let mut counts = Vec::new();
+        let mut start = 0;
+        for i in 1..=rows.len() {
+            if i == rows.len() || rows[i].0 != rows[start].0 {
+                counts.push(i - start);
+                start = i;
+            }
         }
-        Self {
-            distinct_rows_per_key: per_key.values().map(|s| s.len()).collect(),
-        }
+        Self::from_counts(counts)
     }
 
     /// Number of distinct keys `n_k`.

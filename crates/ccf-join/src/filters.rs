@@ -123,6 +123,16 @@ impl FilterConfig {
     /// The §8-sized parameters for one table's filter (shared with the sharded bank,
     /// which slices the bucket budget over its shards).
     pub(crate) fn params_for(&self, table: &SyntheticTable) -> CcfParams {
+        let profile = DuplicationProfile::from_counts(table.distinct_attr_vectors_per_key());
+        self.params_for_profile(table, &profile)
+    }
+
+    /// [`FilterConfig::params_for`] with the table's duplication profile given.
+    fn params_for_profile(
+        &self,
+        table: &SyntheticTable,
+        profile: &DuplicationProfile,
+    ) -> CcfParams {
         let spec = spec_of(table.id);
         let base = CcfParams {
             fingerprint_bits: self.fingerprint_bits,
@@ -136,8 +146,7 @@ impl FilterConfig {
             seed: self.seed ^ (table.id as u64) << 8,
             ..CcfParams::default()
         };
-        let profile = DuplicationProfile::from_counts(table.distinct_attr_vectors_per_key());
-        size_for_profile(self.variant, &profile, base)
+        size_for_profile(self.variant, profile, base)
     }
 }
 
@@ -334,6 +343,42 @@ mod tests {
 
     fn db() -> SyntheticImdb {
         SyntheticImdb::generate(512, 21)
+    }
+
+    #[test]
+    fn params_for_matches_the_hash_set_profile() {
+        use std::collections::{HashMap, HashSet};
+        let db = db();
+        for id in TableId::ALL {
+            let table = db.table(id);
+            let mut per_key: HashMap<u64, HashSet<Vec<u64>>> = HashMap::new();
+            for row in 0..table.num_rows() {
+                per_key
+                    .entry(table.join_keys[row])
+                    .or_default()
+                    .insert(table.row_attrs(row));
+            }
+            let mut expected: Vec<usize> = per_key.values().map(HashSet::len).collect();
+            let mut counts = table.distinct_attr_vectors_per_key();
+            expected.sort_unstable();
+            counts.sort_unstable();
+            assert_eq!(counts, expected, "{id:?}");
+            let reference = DuplicationProfile::from_counts(expected);
+            for variant in [
+                VariantKind::Plain,
+                VariantKind::Bloom,
+                VariantKind::Mixed,
+                VariantKind::Chained,
+            ] {
+                for config in [FilterConfig::large(variant), FilterConfig::small(variant)] {
+                    assert_eq!(
+                        config.params_for(table),
+                        config.params_for_profile(table, &reference),
+                        "{id:?} {variant:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -228,17 +228,38 @@ impl SyntheticTable {
     }
 
     /// Per-key counts of distinct attribute vectors (the `A` statistic of §8 / the
-    /// "dupes" of Table 3 when the table has a single predicate column).
+    /// "dupes" of Table 3 when the table has a single predicate column), one count
+    /// per distinct key, in key order.
+    ///
+    /// Rows are sorted by (join key, attribute vector) and deduplicated in one
+    /// buffer, so each key's distinct vectors form one run; no row allocates. A row
+    /// is sorted as (key, first column, index), so most comparisons settle without
+    /// reading the other columns.
     pub fn distinct_attr_vectors_per_key(&self) -> Vec<usize> {
-        use std::collections::{HashMap, HashSet};
-        let mut per_key: HashMap<u64, HashSet<Vec<u64>>> = HashMap::new();
-        for row in 0..self.num_rows() {
-            per_key
-                .entry(self.join_keys[row])
-                .or_default()
-                .insert(self.row_attrs(row));
+        let (first, rest) = match self.columns.split_first() {
+            Some((first, rest)) => (Some(first), rest),
+            None => (None, &[][..]),
+        };
+        let rest_cmp = |a: usize, b: usize| {
+            rest.iter()
+                .map(|c| c[a].cmp(&c[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let mut rows: Vec<(u64, u64, usize)> = (0..self.num_rows())
+            .map(|row| (self.join_keys[row], first.map_or(0, |c| c[row]), row))
+            .collect();
+        rows.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| rest_cmp(a.2, b.2)));
+        rows.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1) && rest_cmp(a.2, b.2).is_eq());
+        let mut counts = Vec::new();
+        let mut start = 0;
+        for i in 1..=rows.len() {
+            if i == rows.len() || rows[i].0 != rows[start].0 {
+                counts.push(i - start);
+                start = i;
+            }
         }
-        per_key.into_values().map(|s| s.len()).collect()
+        counts
     }
 
     /// Raw size of the data summarized by a CCF over this table, in bits, using the
